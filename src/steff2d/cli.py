@@ -4,8 +4,8 @@ One JSON document (schema: command, inputs, result, pass, diagnostics,
 version) goes to stdout; a one-line human summary goes to stderr.  Exit
 codes: 0 check passed, 1 check evaluated but failed, 2 usage or
 expression error, 3 numeric failure (non-convergent quadrature or a
-domain violation).  The STEFF2D_THREADS environment variable caps the
-lattice-evaluation parallelism enabled with --threads.
+domain violation).  Non-finite numbers are written as null, so stdout is
+strict JSON.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
+import math
 import sys
 from typing import Optional
 
@@ -104,18 +104,6 @@ def _load_matrix(text: str) -> DoubleSequence:
     return DoubleSequence(data)
 
 
-def _threads(requested: int) -> int:
-    cap = os.environ.get("STEFF2D_THREADS")
-    if cap is not None:
-        try:
-            cap_v = int(cap)
-        except ValueError as exc:
-            raise UsageError(f"STEFF2D_THREADS must be an integer, got {cap!r}") from exc
-        if cap_v >= 1:
-            return max(1, min(requested, cap_v))
-    return max(1, requested)
-
-
 def _spec_from(args) -> QuadratureSpec:
     return QuadratureSpec(
         cells=getattr(args, "cells", 4),
@@ -131,8 +119,8 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and (obj != obj):  # NaN is not valid JSON
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):  # NaN and +-inf are not JSON
         return None
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         to_dict = getattr(obj, "to_dict", None)
@@ -162,7 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=32)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--margin", type=float, default=None)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("integrate", help="tensor Gauss-Legendre double integral")
     p.add_argument("--f", required=True)
@@ -288,7 +275,6 @@ def _run_certify(args):
         grid=args.grid,
         tol=args.tol,
         margin=args.margin,
-        threads=_threads(args.threads),
     )
     return rep.to_dict(), rep.verdict != "indefinite", {"verdict": rep.verdict}
 
@@ -502,7 +488,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         "diagnostics": _jsonable(diagnostics),
         "version": __version__,
     }
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .core import NumericDomainError
+from .core import NumericDomainError, _delta
 from .expr import BivariateFn, UnivariateFn, as_univariate
 
 __all__ = [
@@ -187,8 +187,7 @@ def validate_copula(C, grid: int = 64, tol: float = 1e-9) -> CopulaReport:
     V = C(ts[:, None], ts[None, :])
     if not np.all(np.isfinite(V)):
         raise NumericDomainError("candidate copula undefined on the unit square")
-    cells = V[:-1, :-1] - V[:-1, 1:] - V[1:, :-1] + V[1:, 1:]
-    min_cell = float(cells.min())
+    min_cell = float(_delta(V).min())
     return CopulaReport(
         boundary_max_error=worst_err,
         boundary_witness_condition=worst_cond,

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import IdentityResidual
+from .core import IdentityResidual, _delta, _prefix_sums
 
 __all__ = [
     "DoubleSequence",
@@ -78,18 +78,8 @@ class DeltaTable(_Matrix):
 
 
 def partial_sums(u: DoubleSequence) -> DoubleSequence:
-    """Rectangular partial sums S_ij = sum_{k<=i} sum_{l<=j} u_kl.
-
-    Computed by the O(pq) inclusion-exclusion recurrence
-    S_ij = u_ij + S_{i-1,j} + S_{i,j-1} - S_{i-1,j-1}.
-    """
-    U = u.values
-    p, q = U.shape
-    S = np.zeros((p + 1, q + 1))
-    for i in range(1, p + 1):
-        for j in range(1, q + 1):
-            S[i, j] = U[i - 1, j - 1] + S[i - 1, j] + S[i, j - 1] - S[i - 1, j - 1]
-    return DoubleSequence(S[1:, 1:])
+    """Rectangular partial sums S_ij = sum_{k<=i} sum_{l<=j} u_kl."""
+    return DoubleSequence(_prefix_sums(u.values))
 
 
 def delta_table(a: DoubleSequence) -> DeltaTable:
@@ -99,30 +89,17 @@ def delta_table(a: DoubleSequence) -> DeltaTable:
     last column (j = q): a_iq - a_{i+1,q};
     last row (i = p): a_pj - a_{p,j+1};
     corner slot (p, q): a_pq.
+    That is the mixed difference of a with a zero row and column appended.
     """
-    A = a.values
-    D = np.empty_like(A)
-    D[:-1, :-1] = A[:-1, :-1] - A[1:, :-1] - A[:-1, 1:] + A[1:, 1:]
-    D[:-1, -1] = A[:-1, -1] - A[1:, -1]
-    D[-1, :-1] = A[-1, :-1] - A[-1, 1:]
-    D[-1, -1] = A[-1, -1]
-    return DeltaTable(D)
+    p, q = a.values.shape
+    padded = np.zeros((p + 1, q + 1))
+    padded[:p, :q] = a.values
+    return DeltaTable(_delta(padded))
 
 
 def integrate_delta(d: DeltaTable) -> DoubleSequence:
-    """Inverse of delta_table: rebuild the sequence from its difference table."""
-    D = d.values
-    p, q = D.shape
-    A = np.empty_like(D)
-    A[-1, -1] = D[-1, -1]
-    for j in range(q - 2, -1, -1):
-        A[-1, j] = D[-1, j] + A[-1, j + 1]
-    for i in range(p - 2, -1, -1):
-        A[i, -1] = D[i, -1] + A[i + 1, -1]
-    for i in range(p - 2, -1, -1):
-        for j in range(q - 2, -1, -1):
-            A[i, j] = D[i, j] + A[i + 1, j] + A[i, j + 1] - A[i + 1, j + 1]
-    return DoubleSequence(A)
+    """Inverse of delta_table: a_ij is the sum of the table over k >= i, l >= j."""
+    return DoubleSequence(_prefix_sums(d.values[::-1, ::-1])[::-1, ::-1])
 
 
 def _require_same_shape(a: DoubleSequence, u: DoubleSequence):
@@ -240,7 +217,7 @@ def hypothesis_pair(p: int, q: int, rng: np.random.Generator,
     D = DeltaTable(rng.integers(0, high + 1, size=(p, q)).astype(float))
     a = integrate_delta(D)
     S = DoubleSequence(rng.integers(0, 4 * high + 1, size=(p, q)).astype(float))
-    Sv = np.zeros((p + 1, q + 1))
-    Sv[1:, 1:] = S.values
-    u = DoubleSequence(Sv[1:, 1:] - Sv[:-1, 1:] - Sv[1:, :-1] + Sv[:-1, :-1])
+    padded = np.zeros((p + 1, q + 1))
+    padded[1:, 1:] = S.values
+    u = DoubleSequence(_delta(padded))
     return a, u

@@ -270,9 +270,8 @@ _BIVARIATE_VARS = {"x": "x", "y": "y", "s": "x", "t": "y"}
 _UNIVARIATE_VARS = {"t": "x", "u": "x", "x": "x", "s": "x"}
 
 
-def parse(src: str) -> Ast:
-    """Parse a bivariate expression in x and y (aliases s, t)."""
-    parser = _Parser(_tokenize(src), _BIVARIATE_VARS)
+def _parse(src: str, variables: dict[str, str]) -> Ast:
+    parser = _Parser(_tokenize(src), variables)
     ast = parser.parse_expression(0)
     kind, text, off = parser.peek()
     if kind != "end":
@@ -280,18 +279,16 @@ def parse(src: str) -> Ast:
             raise ParseError(UNBALANCED_PAREN, off, "unmatched ')'")
         raise ParseError(UNEXPECTED_TOKEN, off, f"trailing input {text!r}")
     return ast
+
+
+def parse(src: str) -> Ast:
+    """Parse a bivariate expression in x and y (aliases s, t)."""
+    return _parse(src, _BIVARIATE_VARS)
 
 
 def parse_univariate(src: str) -> Ast:
     """Parse a one-variable expression (variable t, u, x, or s)."""
-    parser = _Parser(_tokenize(src), _UNIVARIATE_VARS)
-    ast = parser.parse_expression(0)
-    kind, text, off = parser.peek()
-    if kind != "end":
-        if kind == "op" and text == ")":
-            raise ParseError(UNBALANCED_PAREN, off, "unmatched ')'")
-        raise ParseError(UNEXPECTED_TOKEN, off, f"trailing input {text!r}")
-    return ast
+    return _parse(src, _UNIVARIATE_VARS)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,12 @@ is an honest numerical certificate at the recorded resolution.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import NumericDomainError, Rect
+from .core import NumericDomainError, Rect, _delta
 from .expr import (
     Bin,
     BivariateFn,
@@ -56,10 +55,10 @@ INDEFINITE = "indefinite"
 def f_measure(f, r: Rect) -> float:
     """Corner alternating sum f(a,c) - f(a,d) - f(b,c) + f(b,d)."""
     f = as_bivariate(f)
-    corners = f(np.array([r.a, r.a, r.b, r.b]), np.array([r.c, r.d, r.c, r.d]))
+    corners = f(np.array([[r.a], [r.b]]), np.array([[r.c, r.d]]))
     if not np.all(np.isfinite(corners)):
         raise NumericDomainError(f"f undefined at a corner of {r}")
-    return float(corners[0] - corners[1] - corners[2] + corners[3])
+    return float(_delta(corners)[0, 0])
 
 
 def mixed_partial_fd(f, x: float, y: float, h: float) -> float:
@@ -121,25 +120,8 @@ class MonotonicityReport:
         }
 
 
-def _lattice_values(f: BivariateFn, xs: np.ndarray, ys: np.ndarray,
-                    threads: int = 1) -> np.ndarray:
-    if threads <= 1 or xs.size < 2 * threads:
-        V = f(xs[:, None], ys[None, :])
-    else:
-        blocks = np.array_split(np.arange(xs.size), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda idx: f(xs[idx][:, None], ys[None, :]), blocks))
-        V = np.vstack(parts)
-    if not np.all(np.isfinite(V)):
-        bad = np.argwhere(~np.isfinite(np.atleast_2d(V)))[0]
-        raise NumericDomainError(
-            f"f undefined at lattice point ({xs[bad[0]]}, {ys[bad[1]]})"
-        )
-    return np.atleast_2d(V)
-
-
 def certify(f, domain: Rect, grid: int = 32, tol: float = 1e-9,
-            margin: Optional[float] = None, threads: int = 1) -> MonotonicityReport:
+            margin: Optional[float] = None) -> MonotonicityReport:
     """Classify f on a (grid+1) x (grid+1) lattice over the domain.
 
     The lattice is pulled inward by ``margin`` on every side (default
@@ -154,9 +136,12 @@ def certify(f, domain: Rect, grid: int = 32, tol: float = 1e-9,
         margin = 1e-6 * domain.diameter
     eval_rect = domain.shrink(margin)
     xs, ys = eval_rect.xs(grid), eval_rect.ys(grid)
-    V = _lattice_values(f, xs, ys, threads)
+    V = f(xs[:, None], ys[None, :])
+    if not np.all(np.isfinite(V)):
+        i, j = np.argwhere(~np.isfinite(V))[0]
+        raise NumericDomainError(f"f undefined at lattice point ({xs[i]}, {ys[j]})")
 
-    cells = V[:-1, :-1] - V[:-1, 1:] - V[1:, :-1] + V[1:, 1:]
+    cells = _delta(V)
     imin = np.unravel_index(np.argmin(cells), cells.shape)
     imax = np.unravel_index(np.argmax(cells), cells.shape)
     min_measure = float(cells[imin])

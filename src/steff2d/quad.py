@@ -1,17 +1,21 @@
 """Quadrature engines: 2D Riemann integration, cumulative primitives,
 Riemann-Stieltjes sums against 2d-monotone integrators, and mollifiers.
 
-The Riemann integrators use composite tensor-product Gauss-Legendre rules
-(fixed order per cell) refined by adaptive dyadic bisection: a cell is
-frozen once the difference between its value and the sum over its four
-children drops below its area share of the global tolerance.  Cumulative
-primitives are stored as per-cell Legendre coefficient tensors whose
+One adaptive engine serves integrate1d and integrate2d: composite
+tensor-product Gauss-Legendre rules (fixed order per cell, on one or two
+axes) refined by dyadic bisection.  Each sweep splits every active cell
+into its 2^d children, and a cell is frozen once the difference between
+its value and the sum over its children drops below its measure share of
+the global tolerance.  Both primitives (Antiderivative1D and
+CumulativePrimitive) run one build -> probe -> halve loop over uniform
+cells, stored as per-cell Legendre coefficient tensors whose
 antiderivatives are evaluated exactly, which makes W(x, y) cheap at
 arbitrary points and exactly zero on its base edges.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -19,8 +23,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import ConvergenceError, IdentityResidual, NumericDomainError, Rect
-from .expr import BivariateFn, as_bivariate
+from .core import (ConvergenceError, IdentityResidual, NumericDomainError, Rect, _delta,
+                   _prefix_sums)
+from .expr import BivariateFn, as_bivariate, as_univariate
 
 __all__ = [
     "QuadratureSpec",
@@ -113,29 +118,99 @@ def _boundaries(lo: float, hi: float, cells: int, breaks: Sequence[float]) -> np
     return base
 
 
+def _rect_boundaries(rect: Rect, spec: QuadratureSpec) -> list:
+    return [_boundaries(rect.a, rect.b, spec.cells, spec.breaks_x),
+            _boundaries(rect.c, rect.d, spec.cells, spec.breaks_y)]
+
+
 def _halve(boundaries: np.ndarray) -> np.ndarray:
     mids = 0.5 * (boundaries[:-1] + boundaries[1:])
     return np.unique(np.concatenate([boundaries, mids]))
 
 
-def _check_finite(values: np.ndarray, what: str):
-    if not np.all(np.isfinite(values)):
+def _nodes(lo: np.ndarray, hi: np.ndarray, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes of the cells [lo, hi], shape (cells, points),
+    and the cell half-widths that scale the weights."""
+    g, _ = _gauss(points)
+    mid = 0.5 * (lo + hi)
+    rad = 0.5 * (hi - lo)
+    return mid[:, None] + rad[:, None] * g[None, :], rad
+
+
+def _sample(fn: Callable, what: str, *coords) -> np.ndarray:
+    with np.errstate(all="ignore"):
+        F = np.asarray(fn(*coords), dtype=float)
+    if not np.all(np.isfinite(F)):
         raise NumericDomainError(f"{what} produced a non-finite value inside the domain")
+    return F
 
 
 # ---------------------------------------------------------------------------
 # Adaptive composite Gauss-Legendre integration
 # ---------------------------------------------------------------------------
 
-def _cell_values_1d(fn: Callable, lo: np.ndarray, hi: np.ndarray, points: int) -> np.ndarray:
-    g, w = _gauss(points)
-    mid = 0.5 * (lo + hi)
-    rad = 0.5 * (hi - lo)
-    X = mid[:, None] + rad[:, None] * g[None, :]
-    with np.errstate(all="ignore"):
-        F = np.asarray(fn(X), dtype=float)
-    _check_finite(F, "integrand")
-    return rad * (F @ w)
+def _cell_values(fn: Callable, lo: list, hi: list, points: int) -> np.ndarray:
+    """Gauss-Legendre value of fn on each cell, given by its per-axis bounds."""
+    _, w = _gauss(points)
+    if len(lo) == 1:
+        X, rad = _nodes(lo[0], hi[0], points)
+        return rad * (_sample(fn, "integrand", X) @ w)
+    (X, xr), (Y, yr) = _nodes(lo[0], hi[0], points), _nodes(lo[1], hi[1], points)
+    F = _sample(fn, "integrand", X[:, :, None], Y[:, None, :])
+    return xr * yr * np.einsum("a,nab,b->n", w, F, w)
+
+
+def _children(lo: list, hi: list) -> tuple[list, list]:
+    """Per-axis bounds of the 2^d children of every cell, x-half fastest."""
+    n = 1 << len(lo)
+    clo, chi = [], []
+    for axis, (l, h) in enumerate(zip(lo, hi)):
+        m = 0.5 * (l + h)
+        cl, ch = np.empty((l.size, n)), np.empty((l.size, n))
+        for k in range(n):
+            cl[:, k], ch[:, k] = (m, h) if (k >> axis) & 1 else (l, m)
+        clo.append(cl.ravel())
+        chi.append(ch.ravel())
+    return clo, chi
+
+
+def _adaptive(fn: Callable, boundaries: list, spec: QuadratureSpec) -> QuadResult:
+    """Refine loop shared by integrate1d (one axis) and integrate2d (two).
+
+    Every sweep splits each active cell into its 2^d children.  A cell is
+    frozen once its value and the sum over its children differ by at most
+    its measure share of half of spec.tol; the loop stops once that
+    difference, summed over the cells refined in the sweep, is within
+    spec.tol, and that last sum is the reported error estimate.
+    """
+    d = len(boundaries)
+    sizes = [b.size - 1 for b in boundaries]
+    index = np.unravel_index(np.arange(math.prod(sizes)), sizes)
+    lo = [b[i] for b, i in zip(boundaries, index)]
+    hi = [b[i + 1] for b, i in zip(boundaries, index)]
+    measure = math.prod(b[-1] - b[0] for b in boundaries)
+    vals = _cell_values(fn, lo, hi, spec.points)
+    frozen = 0.0
+    for _ in range(spec.max_refine):
+        clo, chi = _children(lo, hi)
+        cvals = _cell_values(fn, clo, chi, spec.points)
+        refined = cvals.reshape(-1, 1 << d).sum(axis=1)
+        diff = np.abs(vals - refined)
+        err = float(diff.sum())
+        share = math.prod(h - l for l, h in zip(lo, hi)) / measure
+        ok = diff <= 0.5 * spec.tol * share
+        frozen += float(refined[ok].sum())
+        keep = np.repeat(~ok, 1 << d)
+        lo, hi = [c[keep] for c in clo], [c[keep] for c in chi]
+        vals = cvals[keep]
+        total = frozen + float(vals.sum())
+        if err <= spec.tol or vals.size == 0:
+            return QuadResult(total, err)
+        if vals.size > spec.max_cells:
+            raise ConvergenceError(f"{d}d quadrature exceeded the active-cell cap")
+    raise ConvergenceError(
+        f"{d}d quadrature did not reach tol={spec.tol} within {spec.max_refine} refinements"
+    )
 
 
 def integrate1d(fn, lo: float, hi: float, spec: Optional[QuadratureSpec] = None,
@@ -144,48 +219,8 @@ def integrate1d(fn, lo: float, hi: float, spec: Optional[QuadratureSpec] = None,
     spec = spec or DEFAULT_SPEC
     if not hi > lo:
         raise ValueError("integration interval must satisfy lo < hi")
-    if isinstance(fn, str):
-        from .expr import as_univariate
-
-        fn = as_univariate(fn)
-    b = _boundaries(lo, hi, spec.cells, tuple(breaks) or spec.breaks_x)
-    los, his = b[:-1], b[1:]
-    vals = _cell_values_1d(fn, los, his, spec.points)
-    frozen = 0.0
-    length = hi - lo
-    for _ in range(spec.max_refine):
-        mids = 0.5 * (los + his)
-        clos = np.column_stack([los, mids]).ravel()
-        chis = np.column_stack([mids, his]).ravel()
-        cvals = _cell_values_1d(fn, clos, chis, spec.points)
-        refined = cvals.reshape(-1, 2).sum(axis=1)
-        diff = np.abs(vals - refined)
-        err = float(diff.sum())
-        share = (his - los) / length
-        ok = diff <= 0.5 * spec.tol * share
-        frozen += float(refined[ok].sum())
-        keep = np.repeat(~ok, 2)
-        los, his, vals = clos[keep], chis[keep], cvals[keep]
-        total = frozen + float(vals.sum())
-        if err <= spec.tol or los.size == 0:
-            return QuadResult(total, err)
-        if los.size > spec.max_cells:
-            raise ConvergenceError("1d quadrature exceeded the active-cell cap")
-    raise ConvergenceError(
-        f"1d quadrature did not reach tol={spec.tol} within {spec.max_refine} refinements"
-    )
-
-
-def _cell_values_2d(fn: Callable, x0, x1, y0, y1, points: int) -> np.ndarray:
-    g, w = _gauss(points)
-    xm, xr = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
-    ym, yr = 0.5 * (y0 + y1), 0.5 * (y1 - y0)
-    X = xm[:, None] + xr[:, None] * g[None, :]  # (N, p)
-    Y = ym[:, None] + yr[:, None] * g[None, :]
-    with np.errstate(all="ignore"):
-        F = np.asarray(fn(X[:, :, None], Y[:, None, :]), dtype=float)
-    _check_finite(F, "integrand")
-    return xr * yr * np.einsum("a,nab,b->n", w, F, w)
+    fn = as_univariate(fn) if isinstance(fn, str) else fn
+    return _adaptive(fn, [_boundaries(lo, hi, spec.cells, tuple(breaks) or spec.breaks_x)], spec)
 
 
 def integrate2d(fn, rect: Rect, spec: Optional[QuadratureSpec] = None) -> QuadResult:
@@ -198,123 +233,44 @@ def integrate2d(fn, rect: Rect, spec: Optional[QuadratureSpec] = None) -> QuadRe
     """
     spec = spec or DEFAULT_SPEC
     fn = as_bivariate(fn) if isinstance(fn, str) else fn
-    bx = _boundaries(rect.a, rect.b, spec.cells, spec.breaks_x)
-    by = _boundaries(rect.c, rect.d, spec.cells, spec.breaks_y)
-    X0, Y0 = np.meshgrid(bx[:-1], by[:-1], indexing="ij")
-    X1, Y1 = np.meshgrid(bx[1:], by[1:], indexing="ij")
-    x0, x1, y0, y1 = X0.ravel(), X1.ravel(), Y0.ravel(), Y1.ravel()
-    vals = _cell_values_2d(fn, x0, x1, y0, y1, spec.points)
-    frozen = 0.0
-    area = rect.area
-    for _ in range(spec.max_refine):
-        xm = 0.5 * (x0 + x1)
-        ym = 0.5 * (y0 + y1)
-        cx0 = np.column_stack([x0, xm, x0, xm]).ravel()
-        cx1 = np.column_stack([xm, x1, xm, x1]).ravel()
-        cy0 = np.column_stack([y0, y0, ym, ym]).ravel()
-        cy1 = np.column_stack([ym, ym, y1, y1]).ravel()
-        cvals = _cell_values_2d(fn, cx0, cx1, cy0, cy1, spec.points)
-        refined = cvals.reshape(-1, 4).sum(axis=1)
-        diff = np.abs(vals - refined)
-        err = float(diff.sum())
-        share = (x1 - x0) * (y1 - y0) / area
-        ok = diff <= 0.5 * spec.tol * share
-        frozen += float(refined[ok].sum())
-        keep = np.repeat(~ok, 4)
-        x0, x1, y0, y1 = cx0[keep], cx1[keep], cy0[keep], cy1[keep]
-        vals = cvals[keep]
-        total = frozen + float(vals.sum())
-        if err <= spec.tol or x0.size == 0:
-            return QuadResult(total, err)
-        if x0.size > spec.max_cells:
-            raise ConvergenceError("2d quadrature exceeded the active-cell cap")
-    raise ConvergenceError(
-        f"2d quadrature did not reach tol={spec.tol} within {spec.max_refine} refinements"
-    )
+    return _adaptive(fn, _rect_boundaries(rect, spec), spec)
 
 
 # ---------------------------------------------------------------------------
-# Cumulative primitives W and the upper counterpart
+# Cumulative primitives W and the upper counterpart, and 1D antiderivatives
 # ---------------------------------------------------------------------------
 
-class _Antiderivative2D:
-    """Per-cell Legendre representation of (x, y) -> int_a^x int_c^y w."""
+def _locate(b: np.ndarray, h: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell index of each x among the boundaries b, and x mapped to [-1, 1]."""
+    i = np.clip(np.searchsorted(b, x, side="right") - 1, 0, h.size - 1)
+    return i, np.clip((x - b[i]) * 2.0 / h[i] - 1.0, -1.0, 1.0)
 
-    def __init__(self, fn: Callable, rect: Rect, spec: QuadratureSpec):
-        self.rect = rect
+
+class _Primitive:
+    """Build -> probe -> halve loop shared by the 1D and 2D primitives.
+
+    A subclass stores per-cell Legendre coefficients of the integrand in
+    _build(fn, boundaries) and evaluates the primitive at raveled
+    coordinates in _eval.  The cells are halved on every axis until the
+    primitive at the probe coordinates moves by at most spec.tol between
+    two levels; a level whose halving would exceed spec.max_cells cells
+    ends the loop with ConvergenceError.
+    """
+
+    def _converge(self, fn: Callable, boundaries: list, spec: QuadratureSpec,
+                  probe: tuple, what: str):
         self.points = spec.points
-        bx = _boundaries(rect.a, rect.b, spec.cells, spec.breaks_x)
-        by = _boundaries(rect.c, rect.d, spec.cells, spec.breaks_y)
-        probe_prev = None
-        for level in range(spec.max_refine + 1):
-            self._build(fn, bx, by)
-            probe = self._probe()
-            if probe_prev is not None and probe.shape == probe_prev.shape:
-                if float(np.max(np.abs(probe - probe_prev))) <= spec.tol:
-                    return
-            probe_prev = probe
-            if (bx.size - 1) * (by.size - 1) * 4 > spec.max_cells:
+        prev = None
+        for _ in range(spec.max_refine + 1):
+            self._build(fn, boundaries)
+            values = self._eval(*probe)
+            if prev is not None and float(np.max(np.abs(values - prev))) <= spec.tol:
+                return
+            prev = values
+            if math.prod(b.size - 1 for b in boundaries) * 2 ** len(boundaries) > spec.max_cells:
                 break
-            bx, by = _halve(bx), _halve(by)
-        raise ConvergenceError(
-            f"cumulative primitive did not converge to tol={spec.tol}"
-        )
-
-    def _build(self, fn: Callable, bx: np.ndarray, by: np.ndarray):
-        p = self.points
-        self.bx, self.by = bx, by
-        hx, hy = np.diff(bx), np.diff(by)
-        self.hx, self.hy = hx, hy
-        g, _ = _gauss(p)
-        X = 0.5 * (bx[:-1] + bx[1:])[:, None] + 0.5 * hx[:, None] * g[None, :]
-        Y = 0.5 * (by[:-1] + by[1:])[:, None] + 0.5 * hy[:, None] * g[None, :]
-        with np.errstate(all="ignore"):
-            F = np.asarray(fn(X[:, :, None, None], Y[None, None, :, :]), dtype=float)
-        _check_finite(F, "cumulative integrand")
-        M = _legendre_matrix(p)
-        A = np.einsum("na,iajb,mb->ijnm", M, F, M)
-        self.A = A
-        cellint = hx[:, None] * hy[None, :] * A[:, :, 0, 0]
-        Cum = np.zeros((bx.size, by.size))
-        Cum[1:, 1:] = cellint.cumsum(axis=0).cumsum(axis=1)
-        self.Cum = Cum
-        Vx = np.zeros((hx.size, by.size, p))
-        Vx[:, 1:, :] = (hy[None, :, None] * A[:, :, :, 0]).cumsum(axis=1)
-        self.Vx = Vx
-        Vy = np.zeros((bx.size, hy.size, p))
-        Vy[1:, :, :] = (hx[:, None, None] * A[:, :, 0, :]).cumsum(axis=0)
-        self.Vy = Vy
-        self.total = float(Cum[-1, -1])
-
-    def _probe(self) -> np.ndarray:
-        xs = np.linspace(self.rect.a, self.rect.b, 9)
-        ys = np.linspace(self.rect.c, self.rect.d, 9)
-        Xg, Yg = np.meshgrid(xs, ys, indexing="ij")
-        return self(Xg.ravel(), Yg.ravel())
-
-    def __call__(self, x, y):
-        x = np.asarray(x, dtype=float).ravel()
-        y = np.asarray(y, dtype=float).ravel()
-        out = np.empty(x.size)
-        # chunked so the gathered coefficient tensors stay modest in size
-        step = 1 << 16
-        for k in range(0, x.size, step):
-            out[k:k + step] = self._eval_chunk(x[k:k + step], y[k:k + step])
-        return out
-
-    def _eval_chunk(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        p = self.points
-        ix = np.clip(np.searchsorted(self.bx, x, side="right") - 1, 0, self.hx.size - 1)
-        iy = np.clip(np.searchsorted(self.by, y, side="right") - 1, 0, self.hy.size - 1)
-        xi = np.clip((x - self.bx[ix]) * 2.0 / self.hx[ix] - 1.0, -1.0, 1.0)
-        eta = np.clip((y - self.by[iy]) * 2.0 / self.hy[iy] - 1.0, -1.0, 1.0)
-        Qx = _q_values(xi, p)
-        Qy = _q_values(eta, p)
-        Ag = self.A[ix, iy]
-        corner = 0.25 * self.hx[ix] * self.hy[iy] * np.einsum("na,nab,nb->n", Qx, Ag, Qy)
-        xstrip = 0.5 * self.hx[ix] * np.einsum("na,na->n", Qx, self.Vx[ix, iy])
-        ystrip = 0.5 * self.hy[iy] * np.einsum("nb,nb->n", Qy, self.Vy[ix, iy])
-        return self.Cum[ix, iy] + xstrip + ystrip + corner
+            boundaries = [_halve(b) for b in boundaries]
+        raise ConvergenceError(f"{what} did not converge to tol={spec.tol}")
 
 
 @dataclass(frozen=True)
@@ -326,7 +282,7 @@ class LatticeExtrema:
     grid: int
 
 
-class CumulativePrimitive:
+class CumulativePrimitive(_Primitive):
     """Evaluable double primitive of an integrand over a rectangle.
 
     Orientation "lower" integrates over [a, x] x [c, y] (vanishing on the
@@ -346,18 +302,55 @@ class CumulativePrimitive:
         self.orientation = orientation
         self.integrand = w
         if orientation == "lower":
-            self._core = _Antiderivative2D(w, rect, spec)
+            fn = w
         else:
             a, b, c, d = rect.as_tuple()
 
-            def reflected(u, v):
+            def fn(u, v):
                 return w(a + (b - u), c + (d - v))
 
-            self._core = _Antiderivative2D(reflected, rect, spec)
+        Xg, Yg = np.meshgrid(np.linspace(rect.a, rect.b, 9), np.linspace(rect.c, rect.d, 9),
+                             indexing="ij")
+        self._converge(fn, _rect_boundaries(rect, spec), spec, (Xg.ravel(), Yg.ravel()),
+                       "cumulative primitive")
 
-    @property
-    def total(self) -> float:
-        return self._core.total
+    def _build(self, fn: Callable, boundaries: list):
+        p = self.points
+        bx, by = boundaries
+        self.bx, self.by = bx, by
+        self.hx, self.hy = hx, hy = np.diff(bx), np.diff(by)
+        X, _ = _nodes(bx[:-1], bx[1:], p)
+        Y, _ = _nodes(by[:-1], by[1:], p)
+        F = _sample(fn, "cumulative integrand", X[:, :, None, None], Y[None, None, :, :])
+        M = _legendre_matrix(p)
+        self.A = A = np.einsum("na,iajb,mb->ijnm", M, F, M)
+        self.Cum = np.zeros((bx.size, by.size))
+        self.Cum[1:, 1:] = _prefix_sums(hx[:, None] * hy[None, :] * A[:, :, 0, 0])
+        self.Vx = np.zeros((hx.size, by.size, p))
+        self.Vx[:, 1:, :] = (hy[None, :, None] * A[:, :, :, 0]).cumsum(axis=1)
+        self.Vy = np.zeros((bx.size, hy.size, p))
+        self.Vy[1:, :, :] = (hx[:, None, None] * A[:, :, 0, :]).cumsum(axis=0)
+        self.total = float(self.Cum[-1, -1])
+
+    def _eval(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = np.empty(x.size)
+        # chunked so the gathered coefficient tensors stay modest in size
+        step = 1 << 16
+        for k in range(0, x.size, step):
+            out[k:k + step] = self._eval_chunk(x[k:k + step], y[k:k + step])
+        return out
+
+    def _eval_chunk(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        p = self.points
+        ix, xi = _locate(self.bx, self.hx, x)
+        iy, eta = _locate(self.by, self.hy, y)
+        Qx = _q_values(xi, p)
+        Qy = _q_values(eta, p)
+        Ag = self.A[ix, iy]
+        corner = 0.25 * self.hx[ix] * self.hy[iy] * np.einsum("na,nab,nb->n", Qx, Ag, Qy)
+        xstrip = 0.5 * self.hx[ix] * np.einsum("na,na->n", Qx, self.Vx[ix, iy])
+        ystrip = 0.5 * self.hy[iy] * np.einsum("nb,nb->n", Qy, self.Vy[ix, iy])
+        return self.Cum[ix, iy] + xstrip + ystrip + corner
 
     def __call__(self, x, y):
         xs = np.asarray(x, dtype=float)
@@ -369,7 +362,7 @@ class CumulativePrimitive:
             a, b, c, d = self.rect.as_tuple()
             xb = a + (b - xb)
             yb = c + (d - yb)
-        out = self._core(xb, yb)
+        out = self._eval(xb, yb)
         if shape == ():
             return float(out[0])
         return out.reshape(shape)
@@ -396,63 +389,38 @@ def cumulative(w, rect: Rect, orientation: str = "lower",
     return CumulativePrimitive(as_bivariate(w), rect, orientation, spec)
 
 
-# ---------------------------------------------------------------------------
-# 1D antiderivative (same machinery, used by the AC constructor)
-# ---------------------------------------------------------------------------
-
-class Antiderivative1D:
+class Antiderivative1D(_Primitive):
     """Evaluable x -> int_lo^x g for an integrable univariate g."""
 
     def __init__(self, fn, lo: float, hi: float, spec: Optional[QuadratureSpec] = None,
                  breaks: Sequence[float] = ()):
-        from .expr import as_univariate
-
         spec = spec or DEFAULT_SPEC
         g = as_univariate(fn) if not callable(fn) or isinstance(fn, str) else fn
         self.lo, self.hi = lo, hi
-        self.points = spec.points
         b = _boundaries(lo, hi, spec.cells, tuple(breaks) or spec.breaks_x)
-        probe_prev = None
-        for _ in range(spec.max_refine + 1):
-            self._build(g, b)
-            probe = self(np.linspace(lo, hi, 17))
-            if probe_prev is not None:
-                if float(np.max(np.abs(probe - probe_prev))) <= spec.tol:
-                    return
-            probe_prev = probe
-            b = _halve(b)
-            if b.size > spec.max_cells:
-                break
-        raise ConvergenceError("1d antiderivative did not converge")
+        self._converge(g, [b], spec, (np.linspace(lo, hi, 17),), "1d antiderivative")
 
-    def _build(self, g, b: np.ndarray):
-        p = self.points
-        self.b = b
-        h = np.diff(b)
-        self.h = h
-        nodes, _ = _gauss(p)
-        X = 0.5 * (b[:-1] + b[1:])[:, None] + 0.5 * h[:, None] * nodes[None, :]
-        with np.errstate(all="ignore"):
-            F = np.asarray(g(X), dtype=float)
-        _check_finite(F, "antiderivative integrand")
-        M = _legendre_matrix(p)
-        A = F @ M.T  # (cells, p): coefficient n of each cell
-        self.A = A
-        cellint = h * A[:, 0]
-        self.Cum = np.concatenate([[0.0], cellint.cumsum()])
+    def _build(self, g: Callable, boundaries: list):
+        (b,) = boundaries
+        self.b, self.h = b, np.diff(b)
+        X, _ = _nodes(b[:-1], b[1:], self.points)
+        F = _sample(g, "antiderivative integrand", X)
+        # (cells, p): coefficient n of each cell
+        self.A = F @ _legendre_matrix(self.points).T
+        self.Cum = np.concatenate([[0.0], (self.h * self.A[:, 0]).cumsum()])
         self.total = float(self.Cum[-1])
+
+    def _eval(self, x: np.ndarray) -> np.ndarray:
+        i, xi = _locate(self.b, self.h, x)
+        Q = _q_values(xi, self.points)
+        return self.Cum[i] + 0.5 * self.h[i] * np.einsum("na,na->n", Q, self.A[i])
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
-        shape = xs.shape
-        x = xs.ravel()
-        i = np.clip(np.searchsorted(self.b, x, side="right") - 1, 0, self.h.size - 1)
-        xi = np.clip((x - self.b[i]) * 2.0 / self.h[i] - 1.0, -1.0, 1.0)
-        Q = _q_values(xi, self.points)
-        out = self.Cum[i] + 0.5 * self.h[i] * np.einsum("na,na->n", Q, self.A[i])
-        if shape == ():
+        out = self._eval(xs.ravel())
+        if xs.shape == ():
             return float(out[0])
-        return out.reshape(shape)
+        return out.reshape(xs.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -504,13 +472,11 @@ def stieltjes2d(h, f, rect: Rect, partition: int = 64, tol: float = 1e-8,
     converged = False
     for _ in range(doublings + 1):
         xs, ys = rect.xs(n), rect.ys(n)
-        V = f(xs[:, None], ys[None, :])
-        _check_finite(V, "integrator")
-        cells = V[:-1, :-1] - V[:-1, 1:] - V[1:, :-1] + V[1:, 1:]
+        V = _sample(f, "integrator", xs[:, None], ys[None, :])
+        cells = _delta(V)
         xm = 0.5 * (xs[:-1] + xs[1:])
         ym = 0.5 * (ys[:-1] + ys[1:])
-        H = h(xm[:, None], ym[None, :])
-        _check_finite(H, "integrand")
+        H = _sample(h, "integrand", xm[:, None], ym[None, :])
         value = float((H * cells).sum())
         if prev is not None:
             err = abs(value - prev)
@@ -521,7 +487,7 @@ def stieltjes2d(h, f, rect: Rect, partition: int = 64, tol: float = 1e-8,
         n *= 2
     else:
         n //= 2
-    measure = float(V[0, 0] - V[0, -1] - V[-1, 0] + V[-1, -1])
+    measure = float(_delta(V[np.ix_((0, -1), (0, -1))])[0, 0])
     bound = measure * float(np.max(np.abs(H)))
     monotone = bool(cells.min() >= -mono_tol)
     if not monotone:
@@ -616,13 +582,12 @@ def make_mollifier(n: int) -> Mollifier:
 def _conv_nodes(moll: Mollifier, points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Tensor Gauss grid over the support, sized so the discrete mass is 1
     # to ~1e-8; zero-weight nodes outside the disk are pruned.
-    g, w = _gauss(points)
+    _, w = _gauss(points)
     r = moll.radius
     for cells in (8, 12, 16, 24, 32, 40):
         b = np.linspace(-r, r, cells + 1)
-        h = np.diff(b)
-        X = 0.5 * (b[:-1] + b[1:])[:, None] + 0.5 * h[:, None] * g[None, :]
-        wx = (0.5 * h[:, None] * w[None, :]).ravel()
+        X, rad = _nodes(b[:-1], b[1:], points)
+        wx = (rad[:, None] * w[None, :]).ravel()
         nodes = X.ravel()
         S, T = np.meshgrid(nodes, nodes, indexing="ij")
         WW = np.outer(wx, wx)

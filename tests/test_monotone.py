@@ -106,12 +106,6 @@ class TestCertify:
         with pytest.raises(NumericDomainError):
             certify("log(x - 10)", Rect(0, 1, 0, 1), grid=8)
 
-    def test_threads_match_single_thread(self):
-        r1 = certify("exp(-x-y)*sin(x+y)", Rect(0, 2, 0, 2), grid=32, threads=1)
-        r4 = certify("exp(-x-y)*sin(x+y)", Rect(0, 2, 0, 2), grid=32, threads=4)
-        assert r1.min_measure == r4.min_measure
-        assert r1.max_measure == r4.max_measure
-
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
             certify("x*y", Rect(0, 1, 0, 1), grid=1)

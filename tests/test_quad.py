@@ -241,6 +241,21 @@ class TestMollifier:
             make_mollifier(0)
 
 
+UNIT = Rect(0, 1, 0, 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda spec: integrate1d("sin(300*t)", 0, 1, spec),
+    lambda spec: integrate2d("sin(60*x)*sin(60*y)", UNIT, spec),
+    lambda spec: Antiderivative1D("sin(300*t)", 0, 1, spec),
+    lambda spec: cumulative("sin(60*x)*sin(60*y)", UNIT, spec=spec),
+], ids=["integrate1d", "integrate2d", "Antiderivative1D", "cumulative"])
+def test_active_cell_cap_raises(build):
+    build(QuadratureSpec())  # converges under the default cap
+    with pytest.raises(ConvergenceError):
+        build(QuadratureSpec(max_cells=16))
+
+
 class TestQuadratureSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
