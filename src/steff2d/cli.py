@@ -5,7 +5,10 @@ version) goes to stdout; a one-line human summary goes to stderr.  Exit
 codes: 0 check passed, 1 check evaluated but failed, 2 usage or
 expression error, 3 numeric failure (non-convergent quadrature or a
 domain violation).  Non-finite numbers are written as null, so stdout is
-strict JSON.
+strict JSON.  Warnings raised during a check (for example
+FloorDerivativeWarning, or stieltjes2d's non-monotone integrator) are
+listed once each, in order, under diagnostics.warnings and echoed to
+stderr; the key is absent when there were none.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -452,6 +456,14 @@ def _merge_value_flags(argv):
     return merged
 
 
+def _report_warnings(caught: list, stderr) -> list:
+    """Each distinct recorded warning once, in order, also echoed to stderr."""
+    raised = list(dict.fromkeys(f"{w.category.__name__}: {w.message}" for w in caught))
+    for text in raised:
+        print(f"warning: {text}", file=stderr)
+    return raised
+
+
 def run(argv=None, stdout=None, stderr=None) -> int:
     """Parse argv, dispatch, emit the JSON document, and return the exit code."""
     stdout = stdout if stdout is not None else sys.stdout
@@ -467,14 +479,22 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     command = args.command
     label = command if command != "verify" else f"verify {args.check}"
     try:
-        result, passed, diagnostics = _DISPATCH[command](args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result, passed, diagnostics = _DISPATCH[command](args)
     except (UsageError, ParseError, CatalogError, InvalidGeneratorError, ValueError,
             TypeError, OSError, json.JSONDecodeError) as exc:
+        _report_warnings(caught, stderr)
         print(f"error: {exc}", file=stderr)
         return EXIT_USAGE
     except (NumericDomainError, ConvergenceError) as exc:
+        _report_warnings(caught, stderr)
         print(f"numeric failure: {exc}", file=stderr)
         return EXIT_NUMERIC
+
+    raised = _report_warnings(caught, stderr)
+    if raised:
+        diagnostics = {**diagnostics, "warnings": raised}
 
     inputs = {
         k: v for k, v in sorted(vars(args).items())

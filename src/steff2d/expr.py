@@ -47,6 +47,14 @@ UNEXPECTED_TOKEN = "unexpected token"
 UNBALANCED_PAREN = "unbalanced parenthesis"
 UNKNOWN_IDENTIFIER = "unknown identifier"
 ARITY_MISMATCH = "arity mismatch"
+NESTED_TOO_DEEP = "nested too deep"
+
+# Deepest expression the parser accepts, counting both the AST depth (a sum
+# of n terms is n levels deep) and the nesting of parentheses and calls.
+# The tree walkers recurse, and a mixed partial derivative can be about 4.5
+# times deeper than its expression; at this limit that stays well inside
+# Python's default recursion limit.
+MAX_DEPTH = 64
 
 
 class ParseError(ValueError):
@@ -54,7 +62,7 @@ class ParseError(ValueError):
 
     Carries the byte ``offset`` into the source and an error ``kind``
     (one of "unexpected token", "unbalanced parenthesis",
-    "unknown identifier", "arity mismatch").
+    "unknown identifier", "arity mismatch", "nested too deep").
     """
 
     def __init__(self, kind: str, offset: int, message: str):
@@ -171,7 +179,8 @@ class _Parser:
     def __init__(self, tokens, variables: dict[str, str]):
         self.tokens = tokens
         self.pos = 0
-        self.depth = 0
+        self.depth = 0  # open parentheses, for error messages
+        self.level = 0  # active parse_expression calls
         self.variables = variables  # accepted name -> canonical name
 
     def peek(self):
@@ -198,10 +207,20 @@ class _Parser:
             raise ParseError(UNBALANCED_PAREN, off, "unmatched ')'")
         raise ParseError(UNEXPECTED_TOKEN, off, f"expected an operand, got {text or 'end of input'!r}")
 
-    def parse_expression(self, min_prec: int = 0) -> Ast:
-        lhs = self.parse_operand()
+    @staticmethod
+    def check_depth(depth: int, off: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ParseError(NESTED_TOO_DEEP, off,
+                             f"expression nested deeper than {MAX_DEPTH} levels")
+        return depth
+
+    def parse_expression(self, min_prec: int = 0) -> tuple[Ast, int]:
+        """Parse at or above min_prec; returns the AST and its depth."""
+        self.level += 1
+        self.check_depth(self.level, self.peek()[2])
+        lhs, depth = self.parse_operand()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, off = self.peek()
             if kind != "op" or text not in _BINARY_PREC:
                 break
             prec = _BINARY_PREC[text]
@@ -209,18 +228,19 @@ class _Parser:
                 break
             self.advance()
             next_min = prec if text in _RIGHT_ASSOC else prec + 1
-            rhs = self.parse_expression(next_min)
-            lhs = Bin(text, lhs, rhs)
-        return lhs
+            rhs, rdepth = self.parse_expression(next_min)
+            lhs, depth = Bin(text, lhs, rhs), self.check_depth(1 + max(depth, rdepth), off)
+        self.level -= 1
+        return lhs, depth
 
-    def parse_operand(self) -> Ast:
+    def parse_operand(self) -> tuple[Ast, int]:
         kind, text, off = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            operand = self.parse_expression(_UNARY_PREC)
+            operand, depth = self.parse_expression(_UNARY_PREC)
             if isinstance(operand, Num):
-                return Num(-operand.value)
-            return Unary("-", operand)
+                return Num(-operand.value), depth
+            return Unary("-", operand), self.check_depth(depth + 1, off)
         if kind == "op" and text == "(":
             self.advance()
             self.depth += 1
@@ -230,20 +250,20 @@ class _Parser:
             return inner
         if kind == "num":
             self.advance()
-            return Num(float(text))
+            return Num(float(text)), 1
         if kind == "ident":
             self.advance()
             nxt_kind, nxt_text, _ = self.peek()
             if nxt_kind == "op" and nxt_text == "(":
                 return self.parse_call(text, off)
             if text in self.variables:
-                return Var(self.variables[text])
+                return Var(self.variables[text]), 1
             if text in _CONSTANTS:
-                return Num(_CONSTANTS[text])
+                return Num(_CONSTANTS[text]), 1
             raise ParseError(UNKNOWN_IDENTIFIER, off, f"unknown identifier {text!r}")
         self.fail_operand()
 
-    def parse_call(self, name: str, off: int) -> Ast:
+    def parse_call(self, name: str, off: int) -> tuple[Ast, int]:
         if name not in _FUNCTION_ARITY:
             raise ParseError(UNKNOWN_IDENTIFIER, off, f"unknown function {name!r}")
         self.expect_op("(")
@@ -263,7 +283,8 @@ class _Parser:
             raise ParseError(
                 ARITY_MISMATCH, off, f"{name} takes {arity} argument(s), got {len(args)}"
             )
-        return Call(name, tuple(args))
+        depth = self.check_depth(1 + max(d for _, d in args), off)
+        return Call(name, tuple(a for a, _ in args)), depth
 
 
 _BIVARIATE_VARS = {"x": "x", "y": "y", "s": "x", "t": "y"}
@@ -272,7 +293,7 @@ _UNIVARIATE_VARS = {"t": "x", "u": "x", "x": "x", "s": "x"}
 
 def _parse(src: str, variables: dict[str, str]) -> Ast:
     parser = _Parser(_tokenize(src), variables)
-    ast = parser.parse_expression(0)
+    ast, _ = parser.parse_expression(0)
     kind, text, off = parser.peek()
     if kind != "end":
         if kind == "op" and text == ")":
@@ -346,30 +367,54 @@ def evaluate(node: Ast, x: float, y: float = 0.0) -> float:
 # Compilation to a vectorized numpy callable
 # ---------------------------------------------------------------------------
 
-def _emit(node: Ast) -> str:
+# Python refuses source nested deeper than 200 parentheses, and derivatives
+# of parseable expressions nest deeper than that; _emit binds a subexpression
+# nested this deep to a local first.
+_MAX_NESTING = 50
+
+
+def _emit(node: Ast, lines: list) -> tuple[str, int]:
+    """numpy source of node and its parenthesis nesting.
+
+    Subexpressions nested _MAX_NESTING deep are appended to lines as
+    assignments to locals t0, t1, ... and referenced by name.
+    """
     if isinstance(node, Num):
-        return f"({node.value!r})"
+        return f"({node.value!r})", 1
     if isinstance(node, Var):
-        return node.name
+        return node.name, 0
     if isinstance(node, Unary):
-        return f"(-{_emit(node.operand)})"
-    if isinstance(node, Bin):
-        a, b = _emit(node.lhs), _emit(node.rhs)
+        a, nesting = _emit(node.operand, lines)
+        code = f"(-{a})"
+    elif isinstance(node, Bin):
+        (a, na), (b, nb) = _emit(node.lhs, lines), _emit(node.rhs, lines)
+        nesting = max(na, nb)
         if node.op == "^":
-            return f"np.power({a}, {b})"
-        if node.op == "/":
-            return f"np.divide({a}, {b})"
-        return f"({a} {node.op} {b})"
-    args = ", ".join(_emit(a) for a in node.args)
-    fname = {"min": "np.minimum", "max": "np.maximum", "abs": "np.abs"}.get(
-        node.name, f"np.{node.name}"
-    )
-    return f"{fname}({args})"
+            code = f"np.power({a}, {b})"
+        elif node.op == "/":
+            code = f"np.divide({a}, {b})"
+        else:
+            code = f"({a} {node.op} {b})"
+    else:
+        args = [_emit(arg, lines) for arg in node.args]
+        nesting = max(k for _, k in args)
+        fname = {"min": "np.minimum", "max": "np.maximum", "abs": "np.abs"}.get(
+            node.name, f"np.{node.name}"
+        )
+        code = f"{fname}({', '.join(a for a, _ in args)})"
+    if nesting + 1 < _MAX_NESTING:
+        return code, nesting + 1
+    lines.append(f"t{len(lines)} = {code}")
+    return f"t{len(lines) - 1}", 0
 
 
 def _compile(node: Ast) -> Callable:
-    source = f"lambda x, y: {_emit(node)}"
-    return eval(source, {"np": np})  # noqa: S307 - source generated from our own AST
+    lines: list = []
+    code, _ = _emit(node, lines)
+    body = "".join(f"    {line}\n" for line in lines)
+    namespace = {"np": np}
+    exec(f"def fn(x, y):\n{body}    return {code}\n", namespace)  # noqa: S102 - from our AST
+    return namespace["fn"]
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +431,7 @@ def _prec_of(node: Ast) -> int:
     return _BINARY_PREC[node.op]
 
 
-def _wrap(child: Ast, required: int) -> str:
-    text = to_string(child)
+def _wrap(child: Ast, text: str, required: int) -> str:
     if _prec_of(child) < required:
         return f"({text})"
     return text
@@ -395,18 +439,20 @@ def _wrap(child: Ast, required: int) -> str:
 
 def to_string(node: Ast) -> str:
     """Render an AST; parse(to_string(a)) reproduces a."""
+    # one stack frame per tree level: children are rendered here, not in _wrap
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Unary):
-        return f"-{_wrap(node.operand, _UNARY_PREC + 1)}"
+        return f"-{_wrap(node.operand, to_string(node.operand), _UNARY_PREC + 1)}"
     if isinstance(node, Bin):
         prec = _BINARY_PREC[node.op]
+        lhs, rhs = to_string(node.lhs), to_string(node.rhs)
         if node.op in _RIGHT_ASSOC:
-            return f"{_wrap(node.lhs, prec + 1)}{node.op}{_wrap(node.rhs, prec)}"
-        return f"{_wrap(node.lhs, prec)} {node.op} {_wrap(node.rhs, prec + 1)}"
-    args = ", ".join(to_string(a) for a in node.args)
+            return f"{_wrap(node.lhs, lhs, prec + 1)}{node.op}{_wrap(node.rhs, rhs, prec)}"
+        return f"{_wrap(node.lhs, lhs, prec)} {node.op} {_wrap(node.rhs, rhs, prec + 1)}"
+    args = ", ".join([to_string(a) for a in node.args])
     return f"{node.name}({args})"
 
 

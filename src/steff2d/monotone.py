@@ -329,10 +329,11 @@ class AcFunction(BivariateFn):
 
         def fn(x, y):
             out = np.full(np.broadcast(x, y).shape, self.f0)
+            # G1 and G2 are evaluated on their own axis; the sum broadcasts
             if self._G1 is not None:
-                out = out + self._G1(np.broadcast_to(x, out.shape))
+                out = out + self._G1(x)
             if self._G2 is not None:
-                out = out + self._G2(np.broadcast_to(y, out.shape))
+                out = out + self._G2(y)
             if self._W is not None:
                 out = out + self._W(x, y)
             return out

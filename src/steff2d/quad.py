@@ -11,6 +11,14 @@ CumulativePrimitive) run one build -> probe -> halve loop over uniform
 cells, stored as per-cell Legendre coefficient tensors whose
 antiderivatives are evaluated exactly, which makes W(x, y) cheap at
 arbitrary points and exactly zero on its base edges.
+
+A CumulativePrimitive called on an outer product, x of shape (n, 1) and
+y of shape (1, m), evaluates on that tensor lattice: cells and Legendre
+antiderivatives are computed once per axis, and each term of W is one
+axis contraction followed by a gather, instead of one p x p contraction
+per point.  Stieltjes sums (whose integrand an AcFunction may be) and
+lattice_extrema take this path; scattered points, and the probe that
+decides convergence while building, take the pointwise one.
 """
 
 from __future__ import annotations
@@ -102,11 +110,14 @@ def _legendre_matrix(points: int) -> np.ndarray:
 
 def _q_values(xi: np.ndarray, points: int) -> np.ndarray:
     """Antiderivatives Q_n(xi) = int_{-1}^{xi} P_n, for n < points."""
-    V = np.polynomial.legendre.legvander(xi, points)  # columns P_0 .. P_points
+    # P_0 .. P_points by legvander's recurrence, without its per-call overhead
+    P = [np.ones_like(xi), xi]
+    for i in range(2, points + 1):
+        P.append((P[i - 1] * xi * (2 * i - 1) - P[i - 2] * (i - 1)) / i)
     Q = np.empty(xi.shape + (points,))
     Q[..., 0] = xi + 1.0
     for n in range(1, points):
-        Q[..., n] = (V[..., n + 1] - V[..., n - 1]) / (2 * n + 1)
+        Q[..., n] = (P[n + 1] - P[n - 1]) / (2 * n + 1)
     return Q
 
 
@@ -240,10 +251,18 @@ def integrate2d(fn, rect: Rect, spec: Optional[QuadratureSpec] = None) -> QuadRe
 # Cumulative primitives W and the upper counterpart, and 1D antiderivatives
 # ---------------------------------------------------------------------------
 
+def _blocks(rows: int, width: int) -> list:
+    """Row slices of a (rows, width) array, each holding at most 1 << 16 entries,
+    so the gathered coefficient tensors stay modest in size."""
+    step = max(1, (1 << 16) // max(width, 1))
+    return [slice(k, k + step) for k in range(0, rows, step)]
+
+
 def _locate(b: np.ndarray, h: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cell index of each x among the boundaries b, and x mapped to [-1, 1]."""
-    i = np.clip(np.searchsorted(b, x, side="right") - 1, 0, h.size - 1)
-    return i, np.clip((x - b[i]) * 2.0 / h[i] - 1.0, -1.0, 1.0)
+    # minimum/maximum rather than np.clip, whose dispatch dominates small calls
+    i = np.minimum(np.maximum(np.searchsorted(b, x, side="right") - 1, 0), h.size - 1)
+    return i, np.minimum(np.maximum((x - b[i]) * 2.0 / h[i] - 1.0, -1.0), 1.0)
 
 
 class _Primitive:
@@ -334,10 +353,8 @@ class CumulativePrimitive(_Primitive):
 
     def _eval(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         out = np.empty(x.size)
-        # chunked so the gathered coefficient tensors stay modest in size
-        step = 1 << 16
-        for k in range(0, x.size, step):
-            out[k:k + step] = self._eval_chunk(x[k:k + step], y[k:k + step])
+        for k in _blocks(x.size, 1):
+            out[k] = self._eval_chunk(x[k], y[k])
         return out
 
     def _eval_chunk(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -352,17 +369,46 @@ class CumulativePrimitive(_Primitive):
         ystrip = 0.5 * self.hy[iy] * np.einsum("nb,nb->n", Qy, self.Vy[ix, iy])
         return self.Cum[ix, iy] + xstrip + ystrip + corner
 
+    def _lattice(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """W on the tensor lattice x (n,) by y (m,), shape (n, m).
+
+        _locate and _q_values run once per axis, with Q pre-scaled by the
+        cell half-widths; each term is then an axis contraction followed
+        by a gather, in row blocks no larger than _eval's point chunks.
+        """
+        p = self.points
+        ix, xi = _locate(self.bx, self.hx, x)
+        iy, eta = _locate(self.by, self.hy, y)
+        Qx = 0.5 * self.hx[ix, None] * _q_values(xi, p)
+        Qy = 0.5 * self.hy[iy, None] * _q_values(eta, p)
+        ystrip = np.empty((self.bx.size, y.size))
+        for r in _blocks(self.bx.size, y.size):
+            ystrip[r] = np.einsum("ilb,lb->il", self.Vy[r][:, iy], Qy)
+        out = np.empty((x.size, y.size))
+        for r in _blocks(x.size, max(y.size, self.by.size)):
+            Qr, ir = Qx[r], ix[r]
+            corner = np.einsum("ka,kjab->kjb", Qr, self.A[ir])[:, iy]
+            xstrip = np.einsum("ka,kja->kj", Qr, self.Vx[ir])[:, iy]
+            out[r] = (self.Cum[np.ix_(ir, iy)] + xstrip + ystrip[ir]
+                      + np.einsum("klb,lb->kl", corner, Qy))
+        return out
+
+    def _oriented(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if self.orientation == "upper":
+            a, b, c, d = self.rect.as_tuple()
+            return a + (b - x), c + (d - y)
+        return x, y
+
     def __call__(self, x, y):
         xs = np.asarray(x, dtype=float)
         ys = np.asarray(y, dtype=float)
+        if xs.ndim == ys.ndim == 2 and xs.shape[1] == ys.shape[0] == 1:
+            # outer-product call x (n, 1), y (1, m): evaluate on the lattice
+            return self._lattice(*self._oriented(xs[:, 0], ys[0]))
         shape = np.broadcast_shapes(xs.shape, ys.shape)
         xb = np.broadcast_to(xs, shape).ravel()
         yb = np.broadcast_to(ys, shape).ravel()
-        if self.orientation == "upper":
-            a, b, c, d = self.rect.as_tuple()
-            xb = a + (b - xb)
-            yb = c + (d - yb)
-        out = self._eval(xb, yb)
+        out = self._eval(*self._oriented(xb, yb))
         if shape == ():
             return float(out[0])
         return out.reshape(shape)
@@ -370,8 +416,7 @@ class CumulativePrimitive(_Primitive):
     def lattice_extrema(self, grid: int = 32) -> LatticeExtrema:
         xs = self.rect.xs(grid)
         ys = self.rect.ys(grid)
-        Xg, Yg = np.meshgrid(xs, ys, indexing="ij")
-        vals = self(Xg, Yg)
+        vals = self(xs[:, None], ys[None, :])
         imin = np.unravel_index(np.argmin(vals), vals.shape)
         imax = np.unravel_index(np.argmax(vals), vals.shape)
         return LatticeExtrema(

@@ -117,6 +117,17 @@ class TestExitCodes:
         code, _, _ = invoke(["frobnicate"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "expr",
+        ["(" * 3000 + "x" + ")" * 3000, "+".join(["x"] * 5000)],
+        ids=["3000-nested-parentheses", "5000-term-sum"],
+    )
+    def test_deeply_nested_expression_exits_two(self, expr):
+        code, out, err = invoke(["integrate", "--f", expr, "--rect", "0,1,0,1"])
+        assert code == EXIT_USAGE
+        assert not out
+        assert "nested deeper than" in err
+
     def test_domain_violation_exits_three(self):
         code, _, err = invoke(["certify", "--f", "log(x-10)", "--rect", "0,1,0,1"])
         assert code == EXIT_NUMERIC
@@ -147,6 +158,36 @@ class TestStrictJson:
         assert doc["result"]["converged"] is False
 
 
+NON_MONOTONE_STIELTJES = ["stieltjes", "--h", "1", "--f", "sin(3*x)*sin(3*y)",
+                          "--rect", "0,2,0,2"]
+FLOOR_BYPARTS = ["verify", "byparts", "--f", "x*y + floor(2*x)", "--gdensity", "1",
+                 "--rect", "0,1,0,1"]
+
+
+class TestWarnings:
+    def test_non_monotone_integrator_is_recorded(self):
+        code, out, err = invoke(NON_MONOTONE_STIELTJES)
+        doc = json.loads(out)
+        assert code in (EXIT_PASS, EXIT_FAIL)
+        assert doc["diagnostics"]["bound_checked"] is False
+        assert doc["diagnostics"]["warnings"] == [
+            "UserWarning: integrator is not 2d-monotone on the partition; "
+            "the step-function bound is not asserted"
+        ]
+        assert "warning: UserWarning: integrator is not 2d-monotone" in err
+
+    def test_floor_derivative_is_recorded_once(self):
+        _, doc = invoke_json(FLOOR_BYPARTS)
+        assert doc["diagnostics"]["warnings"] == [
+            "FloorDerivativeWarning: derivative of floor() taken as 0 "
+            "(valid away from integers)"
+        ]
+
+    def test_no_key_without_warnings(self):
+        _, doc = invoke_json(["certify", "--f", "x*y", "--rect", "0,1,0,1"])
+        assert "warnings" not in doc["diagnostics"]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -154,6 +195,8 @@ class TestDeterminism:
             ["verify", "hardy", "--p", "4", "--q", "3", "--trials", "25", "--seed", "7"],
             ["verify", "steffensen", "--p", "3", "--q", "5", "--trials", "25", "--seed", "7"],
             ["certify", "--f", "exp(-x-y)", "--rect", "0,1,0,1", "--grid", "16"],
+            NON_MONOTONE_STIELTJES,
+            FLOOR_BYPARTS,
         ],
     )
     def test_byte_identical_reruns(self, argv):

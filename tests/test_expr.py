@@ -1,6 +1,7 @@
 """Parser, evaluator, and symbolic-derivative tests."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steff2d.expr import (
+    MAX_DEPTH,
     Bin,
     BivariateFn,
     Call,
@@ -83,6 +85,23 @@ class TestParsing:
         with pytest.raises(ParseError) as exc:
             parse(src)
         assert exc.value.kind == kind
+        assert 0 <= exc.value.offset <= len(src)
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "+".join(["x"] * (MAX_DEPTH + 1)),
+            "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+            "-" * (MAX_DEPTH + 1) + "x",
+            "sin(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+            "^".join(["x"] * (MAX_DEPTH + 1)),
+        ],
+        ids=["sum", "parentheses", "unary", "calls", "power"],
+    )
+    def test_nesting_beyond_the_limit_is_a_parse_error(self, src):
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert exc.value.kind == "nested too deep"
         assert 0 <= exc.value.offset <= len(src)
 
     def test_univariate_accepts_t_and_u(self):
@@ -242,3 +261,39 @@ def test_parser_total_on_arbitrary_text(text):
     except ParseError:
         return
     assert parse(to_string(ast)) == ast
+
+
+# Expressions exactly at the parser's depth limit, in shapes whose
+# derivatives grow deepest: every tree walker must handle them and their
+# mixed partials without exhausting the stack or Python's nesting limit.
+AT_DEPTH_LIMIT = [
+    " + ".join(f"{k + 1}*x*y" if k % 2 else f"{k + 1}*x" for k in range(MAX_DEPTH - 2)),
+    "*".join(["x", "y"] * (MAX_DEPTH // 2)),
+    "/".join(["(x+2)", "(y+2)"] * (MAX_DEPTH // 2 - 1)),
+    "sin(" * (MAX_DEPTH - 2) + "x" + ")" * (MAX_DEPTH - 2) + "*y",
+]
+
+
+@pytest.mark.parametrize("src", AT_DEPTH_LIMIT, ids=["sum", "product", "quotient", "calls"])
+def test_walkers_are_safe_at_the_depth_limit(src):
+    # half of Python's default recursion limit leaves room for the callers
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(500)
+    try:
+        _walk_all(src)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _walk_all(src):
+    ast = parse(src)
+    assert parse(to_string(ast)) == ast
+    f = BivariateFn.from_expression(src)
+    fxy = f.mixed_partial()
+    assert fxy.expression  # rendered, though deeper than the parser accepts
+    xs, ys = np.linspace(0.2, 0.9, 4), np.linspace(0.3, 0.8, 4)
+    vals = f(xs, ys)
+    # the compiled code (locals for deep subexpressions) and the tree walker
+    # run the same operations in the same order
+    assert np.array_equal(vals, [evaluate(ast, x, y) for x, y in zip(xs, ys)])
+    assert np.all(np.isfinite(fxy(xs, ys)))

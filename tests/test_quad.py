@@ -8,7 +8,7 @@ import pytest
 from conftest import MONOTONE_CATALOG, random_h_expression
 from steff2d.core import ConvergenceError, NumericDomainError, Rect
 from steff2d.expr import BivariateFn
-from steff2d.monotone import catalog, certify
+from steff2d.monotone import catalog, certify, from_ac
 from steff2d.quad import (
     Antiderivative1D,
     QuadratureSpec,
@@ -21,6 +21,7 @@ from steff2d.quad import (
     stieltjes2d,
     stieltjes_vs_riemann,
 )
+from steff2d.quad import _q_values
 
 
 class TestIntegrate2d:
@@ -150,6 +151,68 @@ class TestCumulative:
     def test_orientation_validated(self):
         with pytest.raises(ValueError):
             cumulative("1", Rect(0, 1, 0, 1), "sideways")
+
+
+def assert_lattice_matches_pointwise(fn, xs, ys):
+    """fn on the outer product xs x ys agrees with fn at the meshgrid points."""
+    lattice = fn(xs[:, None], ys[None, :])
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    pointwise = fn(X, Y)
+    assert lattice.shape == pointwise.shape == (xs.size, ys.size)
+    scale = max(1.0, float(np.max(np.abs(pointwise))))
+    assert np.max(np.abs(lattice - pointwise)) <= 1e-14 * scale
+
+
+class TestLatticeEvaluation:
+    @pytest.mark.parametrize("orientation", ["lower", "upper"])
+    def test_matches_pointwise(self, orientation, rng):
+        r = Rect(-0.5, 2.0, 0.25, 1.75)
+        spec = QuadratureSpec().with_breaks(breaks_x=(0.3, 1.1), breaks_y=(0.9,))
+        W = cumulative("exp(-x)*cos(3*y) + x*y", r, orientation, spec)
+        a, b, c, d = r.as_tuple()
+        # cell boundaries in the caller's and the reflected coordinates (so
+        # the corners too), then random points, on a non-square lattice
+        xs = np.concatenate([W.bx, a + (b - W.bx), rng.uniform(a, b, 17)])
+        ys = np.concatenate([W.by, c + (d - W.by), rng.uniform(c, d, 11)])
+        assert_lattice_matches_pointwise(W, xs, ys)
+        assert_lattice_matches_pointwise(W, xs[5:6], ys)  # single row
+        assert_lattice_matches_pointwise(W, xs, ys[3:4])  # single column
+
+    def test_many_cells_and_row_blocks(self):
+        # 64 x 64 cells; 2000 columns put 32 rows in a block of 1 << 16 entries,
+        # so both the 65-row y-strip table and the 100 lattice rows take blocks
+        r = Rect(0, 1, 0, 2)
+        W = cumulative("sin(40*x)*cos(30*y)", r, "upper", QuadratureSpec(cells=32))
+        assert W.hx.size == W.hy.size == 64
+        assert_lattice_matches_pointwise(W, r.xs(99), r.ys(1999))
+
+    def test_base_edges_exactly_zero(self):
+        r = Rect(0, 2, 0, 2)
+        xs = np.linspace(0, 2, 9)
+        lower = cumulative("exp(-x)*cos(y)", r)(xs[:, None], xs[None, :])
+        assert np.all(lower[0, :] == 0.0) and np.all(lower[:, 0] == 0.0)
+        upper = cumulative("exp(-x)*cos(y)", r, "upper")(xs[:, None], xs[None, :])
+        assert np.all(upper[-1, :] == 0.0) and np.all(upper[:, -1] == 0.0)
+
+    @pytest.mark.parametrize("points", [1, 2, 8, 13])
+    def test_q_values_match_legvander(self, points, rng):
+        # the inline Legendre recurrence repeats legvander's arithmetic exactly
+        xi = np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1, 1, 50)])
+        V = np.polynomial.legendre.legvander(xi, points)
+        expect = np.empty((xi.size, points))
+        expect[:, 0] = xi + 1.0
+        for n in range(1, points):
+            expect[:, n] = (V[:, n + 1] - V[:, n - 1]) / (2 * n + 1)
+        assert np.array_equal(_q_values(xi, points), expect)
+
+    def test_ac_function(self):
+        r = Rect(0, 1.5, -1, 1)
+        g = from_ac(0.5, r, g1="cos(t)", g2="t^2", density="x*y")
+        xs, ys = np.linspace(0, 1.5, 13), np.linspace(-1, 1, 7)
+        assert_lattice_matches_pointwise(g, xs, ys)
+        x, y = xs[:, None], ys[None, :]
+        expect = 0.5 + np.sin(x) + (y ** 3 + 1) / 3 + x ** 2 * (y ** 2 - 1) / 4
+        assert np.max(np.abs(g(x, y) - expect)) <= 1e-10
 
 
 class TestStieltjes:
