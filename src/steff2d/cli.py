@@ -43,7 +43,7 @@ from .ineq import (
     young_residual,
 )
 from .monotone import CatalogError, catalog, certify, from_ac
-from .quad import QuadratureSpec, integrate2d, make_mollifier, mollify, stieltjes2d
+from .quad import DEFAULT_SPEC, QuadratureSpec, integrate2d, make_mollifier, mollify, stieltjes2d
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -109,12 +109,8 @@ def _load_matrix(text: str) -> DoubleSequence:
 
 
 def _spec_from(args) -> QuadratureSpec:
-    return QuadratureSpec(
-        cells=getattr(args, "cells", 4),
-        points=getattr(args, "points", 8),
-        max_refine=getattr(args, "max_refine", 14),
-        tol=getattr(args, "quad_tol", 1e-8),
-    )
+    return QuadratureSpec(cells=args.cells, points=args.points, max_refine=args.max_refine,
+                          tol=args.quad_tol)
 
 
 def _jsonable(obj):
@@ -133,10 +129,11 @@ def _jsonable(obj):
 
 
 def _add_quad_flags(p: argparse.ArgumentParser):
-    p.add_argument("--quad-tol", type=float, default=1e-8, help="quadrature tolerance")
-    p.add_argument("--cells", type=int, default=4, help="coarsest cells per axis")
-    p.add_argument("--points", type=int, default=8, help="Gauss points per cell per axis")
-    p.add_argument("--max-refine", type=int, default=14, help="refinement sweep limit")
+    d = DEFAULT_SPEC
+    p.add_argument("--quad-tol", type=float, default=d.tol, help="quadrature tolerance")
+    p.add_argument("--cells", type=int, default=d.cells, help="coarsest cells per axis")
+    p.add_argument("--points", type=int, default=d.points, help="Gauss points per cell per axis")
+    p.add_argument("--max-refine", type=int, default=d.max_refine, help="refinement sweep limit")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -167,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rect", required=True)
     p.add_argument("--partition", type=int, default=64)
     p.add_argument("--doublings", type=int, default=4)
-    p.add_argument("--quad-tol", type=float, default=1e-8)
+    p.add_argument("--quad-tol", type=float, default=DEFAULT_SPEC.tol)
 
     p = sub.add_parser("copula", help="copula construction and validation")
     csub = p.add_subparsers(dest="copula_command", required=True)

@@ -118,6 +118,7 @@ def young_residual(variant: str, f, w, rect: Rect,
     fy = f.symbolic_partial("y")
     fxy = f.mixed_partial()
     a, b, c, d = rect.as_tuple()
+    spec_y = spec.with_breaks(spec.breaks_y)  # the y-axis edge integrals
 
     lhs = integrate2d(lambda x, y: f(x, y) * w(x, y), rect, spec).value
 
@@ -125,12 +126,12 @@ def young_residual(variant: str, f, w, rect: Rect,
         W = cumulative(w, rect, "lower", spec)
         corner = float(f(b, d)) * W(b, d)
         edge_x = -integrate1d(lambda t: fx(t, d) * W(t, d), a, b, spec).value
-        edge_y = -integrate1d(lambda t: W(b, t) * fy(b, t), c, d, spec).value
+        edge_y = -integrate1d(lambda t: W(b, t) * fy(b, t), c, d, spec_y).value
     else:
         W = cumulative(w, rect, "upper", spec)
         corner = float(f(a, c)) * W(a, c)
         edge_x = integrate1d(lambda t: W(t, c) * fx(t, c), a, b, spec).value
-        edge_y = integrate1d(lambda t: W(a, t) * fy(a, t), c, d, spec).value
+        edge_y = integrate1d(lambda t: W(a, t) * fy(a, t), c, d, spec_y).value
     mixed = integrate2d(lambda x, y: W(x, y) * fxy(x, y), rect, spec).value
     rhs = corner + edge_x + edge_y + mixed
     return YoungResult(
@@ -419,6 +420,7 @@ def byparts_residual(f, g: AcFunction, rect: Rect,
     fx = f.symbolic_partial("x")
     fy = f.symbolic_partial("y")
     a, b, c, d = rect.as_tuple()
+    spec_y = spec.with_breaks(spec.breaks_y)  # the y-axis edge integral
 
     if g.density is not None:
         lhs = integrate2d(lambda x, y: f(x, y) * g.density(x, y), rect, spec).value
@@ -426,7 +428,7 @@ def byparts_residual(f, g: AcFunction, rect: Rect,
         lhs = 0.0
     corner = float(f(b, d)) * float(g(b, d))
     edge_x = -integrate1d(lambda t: fx(t, d) * g(t, d), a, b, spec).value
-    edge_y = -integrate1d(lambda t: fy(b, t) * g(b, t), c, d, spec).value
+    edge_y = -integrate1d(lambda t: fy(b, t) * g(b, t), c, d, spec_y).value
     stj = stieltjes2d(g, f, rect, partition=partition, tol=spec.tol, doublings=doublings)
     rhs = corner + edge_x + edge_y + stj.value
 

@@ -29,7 +29,7 @@ from .expr import (
     parse_univariate,
     substitute,
 )
-from .quad import Antiderivative1D, CumulativePrimitive, QuadratureSpec
+from .quad import DEFAULT_SPEC, Antiderivative1D, CumulativePrimitive, QuadratureSpec
 
 __all__ = [
     "MONOTONE_2D",
@@ -319,8 +319,10 @@ class AcFunction(BivariateFn):
         self.g1: Optional[UnivariateFn] = as_univariate(g1) if g1 is not None else None
         self.g2: Optional[UnivariateFn] = as_univariate(g2) if g2 is not None else None
         self.density: Optional[BivariateFn] = as_bivariate(density) if density is not None else None
+        spec = spec or DEFAULT_SPEC
+        spec_y = spec.with_breaks(spec.breaks_y)  # G2 lies on the y axis
         self._G1 = Antiderivative1D(self.g1, rect.a, rect.b, spec) if self.g1 else None
-        self._G2 = Antiderivative1D(self.g2, rect.c, rect.d, spec) if self.g2 else None
+        self._G2 = Antiderivative1D(self.g2, rect.c, rect.d, spec_y) if self.g2 else None
         self._W = (
             CumulativePrimitive(self.density, rect, "lower", spec)
             if self.density is not None

@@ -8,17 +8,20 @@ into its 2^d children, and a cell is frozen once the difference between
 its value and the sum over its children drops below its measure share of
 the global tolerance.  Both primitives (Antiderivative1D and
 CumulativePrimitive) run one build -> probe -> halve loop over uniform
-cells, stored as per-cell Legendre coefficient tensors whose
-antiderivatives are evaluated exactly, which makes W(x, y) cheap at
-arbitrary points and exactly zero on its base edges.
+cells.
 
-A CumulativePrimitive called on an outer product, x of shape (n, 1) and
-y of shape (1, m), evaluates on that tensor lattice: cells and Legendre
-antiderivatives are computed once per axis, and each term of W is one
-axis contraction followed by a gather, instead of one p x p contraction
-per point.  Stieltjes sums (whose integrand an AcFunction may be) and
-lattice_extrema take this path; scattered points, and the probe that
-decides convergence while building, take the pointwise one.
+A primitive is one coefficient tensor T: (cells, p+1) in 1D, (x cells,
+y cells, p+1, p+1) in 2D.  With q = (1, Q_0(xi), ..., Q_{p-1}(xi)) at local
+coordinate xi of cell i, Q_n the antiderivatives of the Legendre
+polynomials, W(x, y) = qx . T[ix, iy] . qy: entry (0, 0) is W at the
+cell's lower-left corner, row and column 0 are its strips, the rest its
+Legendre coefficients times the cell half-widths.  q is (1, 0, ..., 0) at
+a cell's left end and T's row 0 is zero in the first x cells (column 0 in
+the first y cells), so W is exactly zero on its base edges.  Scattered
+points cost one contraction each; an outer-product call (x of shape
+(n, 1), y of shape (1, m)), as from stieltjes2d and lattice_extrema,
+builds q once per axis, contracts the x rows against T, gathers at the y
+cells and contracts with the y rows.
 """
 
 from __future__ import annotations
@@ -31,8 +34,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import (ConvergenceError, IdentityResidual, NumericDomainError, Rect, _delta,
-                   _prefix_sums)
+from .core import ConvergenceError, IdentityResidual, NumericDomainError, Rect, _delta
 from .expr import BivariateFn, as_bivariate, as_univariate
 
 __all__ = [
@@ -224,14 +226,14 @@ def _adaptive(fn: Callable, boundaries: list, spec: QuadratureSpec) -> QuadResul
     )
 
 
-def integrate1d(fn, lo: float, hi: float, spec: Optional[QuadratureSpec] = None,
-                breaks: Sequence[float] = ()) -> QuadResult:
-    """Adaptive composite Gauss-Legendre integral over [lo, hi]."""
+def integrate1d(fn, lo: float, hi: float, spec: Optional[QuadratureSpec] = None) -> QuadResult:
+    """Adaptive composite Gauss-Legendre integral over [lo, hi] (either axis:
+    the cells align with spec.breaks_x)."""
     spec = spec or DEFAULT_SPEC
     if not hi > lo:
         raise ValueError("integration interval must satisfy lo < hi")
     fn = as_univariate(fn) if isinstance(fn, str) else fn
-    return _adaptive(fn, [_boundaries(lo, hi, spec.cells, tuple(breaks) or spec.breaks_x)], spec)
+    return _adaptive(fn, [_boundaries(lo, hi, spec.cells, spec.breaks_x)], spec)
 
 
 def integrate2d(fn, rect: Rect, spec: Optional[QuadratureSpec] = None) -> QuadResult:
@@ -265,15 +267,25 @@ def _locate(b: np.ndarray, h: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np
     return i, np.minimum(np.maximum((x - b[i]) * 2.0 / h[i] - 1.0, -1.0), 1.0)
 
 
+def _axis(b: np.ndarray, h: np.ndarray, x: np.ndarray, points: int):
+    """Cell index of each x, and its row (1, Q_0(xi), ..., Q_{p-1}(xi)) against
+    which the coefficient tensor of a primitive is contracted."""
+    i, xi = _locate(b, h, x)
+    q = np.empty((x.size, points + 1))
+    q[:, 0] = 1.0
+    q[:, 1:] = _q_values(xi, points)
+    return i, q
+
+
 class _Primitive:
     """Build -> probe -> halve loop shared by the 1D and 2D primitives.
 
-    A subclass stores per-cell Legendre coefficients of the integrand in
-    _build(fn, boundaries) and evaluates the primitive at raveled
-    coordinates in _eval.  The cells are halved on every axis until the
-    primitive at the probe coordinates moves by at most spec.tol between
-    two levels; a level whose halving would exceed spec.max_cells cells
-    ends the loop with ConvergenceError.
+    A subclass stores the coefficient tensor T of the primitive in
+    _build(fn, boundaries) and evaluates it at raveled coordinates in
+    _eval.  The cells are halved on every axis until the primitive at the
+    probe coordinates moves by at most spec.tol between two levels; a level
+    whose halving would exceed spec.max_cells cells ends the loop with
+    ConvergenceError.
     """
 
     def _converge(self, fn: Callable, boundaries: list, spec: QuadratureSpec,
@@ -342,14 +354,16 @@ class CumulativePrimitive(_Primitive):
         Y, _ = _nodes(by[:-1], by[1:], p)
         F = _sample(fn, "cumulative integrand", X[:, :, None, None], Y[None, None, :, :])
         M = _legendre_matrix(p)
-        self.A = A = np.einsum("na,iajb,mb->ijnm", M, F, M)
-        self.Cum = np.zeros((bx.size, by.size))
-        self.Cum[1:, 1:] = _prefix_sums(hx[:, None] * hy[None, :] * A[:, :, 0, 0])
-        self.Vx = np.zeros((hx.size, by.size, p))
-        self.Vx[:, 1:, :] = (hy[None, :, None] * A[:, :, :, 0]).cumsum(axis=1)
-        self.Vy = np.zeros((bx.size, hy.size, p))
-        self.Vy[1:, :, :] = (hx[:, None, None] * A[:, :, 0, :]).cumsum(axis=0)
-        self.total = float(self.Cum[-1, -1])
+        # row and column 0 of a cell: W on its lower and left edges, which is W
+        # on the far edges of the cells before it, where q = (1, 2, 0, ..., 0)
+        T = np.zeros((hx.size, hy.size, p + 1, p + 1))
+        T[:, :, 1:, 1:] = (np.einsum("na,iajb,mb->ijnm", M, F, M)
+                           * (0.25 * hx[:, None] * hy[None, :])[:, :, None, None])
+        T[1:, :, 0, 1:] = 2 * T[:-1, :, 1, 1:].cumsum(axis=0)
+        T[:, 1:, :, 0] = 2 * T[:, :-1, :, 1].cumsum(axis=1)
+        self.T = T
+        c = T[-1, -1]  # W(b, d), where both rows are (1, 2, 0, ..., 0)
+        self.total = float(c[0, 0] + 2 * (c[1, 0] + c[0, 1]) + 4 * c[1, 1])
 
     def _eval(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         out = np.empty(x.size)
@@ -358,39 +372,19 @@ class CumulativePrimitive(_Primitive):
         return out
 
     def _eval_chunk(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        p = self.points
-        ix, xi = _locate(self.bx, self.hx, x)
-        iy, eta = _locate(self.by, self.hy, y)
-        Qx = _q_values(xi, p)
-        Qy = _q_values(eta, p)
-        Ag = self.A[ix, iy]
-        corner = 0.25 * self.hx[ix] * self.hy[iy] * np.einsum("na,nab,nb->n", Qx, Ag, Qy)
-        xstrip = 0.5 * self.hx[ix] * np.einsum("na,na->n", Qx, self.Vx[ix, iy])
-        ystrip = 0.5 * self.hy[iy] * np.einsum("nb,nb->n", Qy, self.Vy[ix, iy])
-        return self.Cum[ix, iy] + xstrip + ystrip + corner
+        ix, qx = _axis(self.bx, self.hx, x, self.points)
+        iy, qy = _axis(self.by, self.hy, y, self.points)
+        # two einsum calls: numpy's single three-operand call is about twice as slow
+        return np.einsum("nb,nb->n", np.einsum("na,nab->nb", qx, self.T[ix, iy]), qy)
 
     def _lattice(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """W on the tensor lattice x (n,) by y (m,), shape (n, m).
-
-        _locate and _q_values run once per axis, with Q pre-scaled by the
-        cell half-widths; each term is then an axis contraction followed
-        by a gather, in row blocks no larger than _eval's point chunks.
-        """
-        p = self.points
-        ix, xi = _locate(self.bx, self.hx, x)
-        iy, eta = _locate(self.by, self.hy, y)
-        Qx = 0.5 * self.hx[ix, None] * _q_values(xi, p)
-        Qy = 0.5 * self.hy[iy, None] * _q_values(eta, p)
-        ystrip = np.empty((self.bx.size, y.size))
-        for r in _blocks(self.bx.size, y.size):
-            ystrip[r] = np.einsum("ilb,lb->il", self.Vy[r][:, iy], Qy)
+        """W on the tensor lattice x (n,) by y (m,), shape (n, m), in row blocks."""
+        ix, qx = _axis(self.bx, self.hx, x, self.points)
+        iy, qy = _axis(self.by, self.hy, y, self.points)
         out = np.empty((x.size, y.size))
-        for r in _blocks(x.size, max(y.size, self.by.size)):
-            Qr, ir = Qx[r], ix[r]
-            corner = np.einsum("ka,kjab->kjb", Qr, self.A[ir])[:, iy]
-            xstrip = np.einsum("ka,kja->kj", Qr, self.Vx[ir])[:, iy]
-            out[r] = (self.Cum[np.ix_(ir, iy)] + xstrip + ystrip[ir]
-                      + np.einsum("klb,lb->kl", corner, Qy))
+        for r in _blocks(x.size, max(y.size, self.hy.size)):
+            strip = np.einsum("ka,kjab->kjb", qx[r], self.T[ix[r]])
+            out[r] = np.einsum("klb,lb->kl", strip[:, iy], qy)
         return out
 
     def _oriented(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -435,14 +429,14 @@ def cumulative(w, rect: Rect, orientation: str = "lower",
 
 
 class Antiderivative1D(_Primitive):
-    """Evaluable x -> int_lo^x g for an integrable univariate g."""
+    """Evaluable x -> int_lo^x g for an integrable univariate g, on either
+    axis: the cells align with spec.breaks_x."""
 
-    def __init__(self, fn, lo: float, hi: float, spec: Optional[QuadratureSpec] = None,
-                 breaks: Sequence[float] = ()):
+    def __init__(self, fn, lo: float, hi: float, spec: Optional[QuadratureSpec] = None):
         spec = spec or DEFAULT_SPEC
         g = as_univariate(fn) if not callable(fn) or isinstance(fn, str) else fn
         self.lo, self.hi = lo, hi
-        b = _boundaries(lo, hi, spec.cells, tuple(breaks) or spec.breaks_x)
+        b = _boundaries(lo, hi, spec.cells, spec.breaks_x)
         self._converge(g, [b], spec, (np.linspace(lo, hi, 17),), "1d antiderivative")
 
     def _build(self, g: Callable, boundaries: list):
@@ -450,15 +444,17 @@ class Antiderivative1D(_Primitive):
         self.b, self.h = b, np.diff(b)
         X, _ = _nodes(b[:-1], b[1:], self.points)
         F = _sample(g, "antiderivative integrand", X)
-        # (cells, p): coefficient n of each cell
-        self.A = F @ _legendre_matrix(self.points).T
-        self.Cum = np.concatenate([[0.0], (self.h * self.A[:, 0]).cumsum()])
-        self.total = float(self.Cum[-1])
+        # T[i, 0] = W at the cell's left end, as in CumulativePrimitive._build
+        T = np.zeros((self.h.size, self.points + 1))
+        T[:, 1:] = 0.5 * self.h[:, None] * (F @ _legendre_matrix(self.points).T)
+        T[1:, 0] = 2 * T[:-1, 1].cumsum()
+        self.T = T
+        self.total = float(T[-1, 0] + 2 * T[-1, 1])  # W(hi), where q = (1, 2, 0, ..., 0)
 
     def _eval(self, x: np.ndarray) -> np.ndarray:
+        # T[i] . (1, Q(xi)), without the copy that building that row costs
         i, xi = _locate(self.b, self.h, x)
-        Q = _q_values(xi, self.points)
-        return self.Cum[i] + 0.5 * self.h[i] * np.einsum("na,na->n", Q, self.A[i])
+        return self.T[i, 0] + np.einsum("na,na->n", _q_values(xi, self.points), self.T[i, 1:])
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)

@@ -67,6 +67,14 @@ class TestYoungIdentities:
             assert res.mixed_term >= -1e-9
             assert gap == pytest.approx(total, abs=1e-6)
 
+    def test_y_edge_integral_uses_y_breaks(self):
+        # W(1, y) has kinks at breaks_y; at tol 1e-12 the edge integral along y
+        # converges only on cells aligned with them
+        spec = QuadratureSpec(tol=1e-12).with_breaks(breaks_y=(1 / 3, 2 / 3))
+        res = young_residual("Y1", "x*y", "floor(3*y)", Rect(0, 1, 0, 1), spec)
+        assert res.edge_y_term == pytest.approx(-5 / 18, abs=1e-14)
+        assert res.residual.abs_residual <= 1e-14
+
     def test_requires_symbolic_partials(self):
         plain = BivariateFn.from_callable(lambda x, y: x + y)
         with pytest.raises(ValueError, match="symbolic"):

@@ -16,6 +16,7 @@ from steff2d.monotone import (
     from_ac,
     mixed_partial_fd,
 )
+from steff2d.quad import QuadratureSpec
 
 
 class TestFMeasure:
@@ -205,6 +206,14 @@ class TestAcRepresentation:
         X, Y = np.meshgrid(xs, xs, indexing="ij")
         expect = 2.0 + np.sin(X) + Y + (1 - np.exp(-X)) * (1 - np.exp(-Y))
         assert np.allclose(f(X, Y), expect, atol=1e-8)
+
+    def test_y_edge_density_uses_y_breaks(self):
+        # G2 lies on the y axis: its cells must align with breaks_y, not breaks_x
+        spec = QuadratureSpec().with_breaks(breaks_y=(1 / 3, 2 / 3))
+        f = from_ac(0.0, Rect(0, 1, 0, 1), g2="floor(3*t)", spec=spec)
+        ys = np.linspace(0, 1, 13)
+        expect = np.maximum(ys - 1 / 3, 0.0) + np.maximum(ys - 2 / 3, 0.0)
+        assert np.max(np.abs(f(0.5, ys) - expect)) <= 1e-14
 
     def test_fields_exposed(self):
         f = from_ac(1.0, Rect(0, 1, 0, 1), g1="t", density="x*y")

@@ -153,6 +153,55 @@ class TestCumulative:
             cumulative("1", Rect(0, 1, 0, 1), "sideways")
 
 
+class TestPrimitiveExactness:
+    """Polynomials of degree below spec.points per axis are integrated exactly,
+    so the primitives must match the closed form to rounding on non-uniform
+    cells, at every kind of call."""
+
+    @pytest.mark.parametrize("orientation", ["lower", "upper"])
+    def test_cumulative_polynomial(self, orientation, rng):
+        r = Rect(-1.0, 1.5, 0.25, 2.0)
+        a, b, c, d = r.as_tuple()
+        spec = QuadratureSpec().with_breaks(breaks_x=(-0.7, 0.1, 0.2), breaks_y=(0.3, 1.9))
+        W = cumulative("x^3*y^5 + x*y - 2", r, orientation, spec)
+        assert np.ptp(W.hx) > 0.1 and np.ptp(W.hy) > 0.1  # non-uniform cells
+
+        def exact(x, y):
+            (x0, x1), (y0, y1) = ((a, x), (c, y)) if orientation == "lower" else ((x, b), (y, d))
+            return ((x1 ** 4 - x0 ** 4) / 4 * (y1 ** 6 - y0 ** 6) / 6
+                    + (x1 ** 2 - x0 ** 2) / 2 * (y1 ** 2 - y0 ** 2) / 2
+                    - 2 * (x1 - x0) * (y1 - y0))
+
+        xs = np.concatenate([W.bx, rng.uniform(a, b, 23)])
+        ys = np.concatenate([W.by, rng.uniform(c, d, 19)])
+        px, py = rng.uniform(a, b, 200), rng.uniform(c, d, 200)
+        calls = [
+            (W(px, py), exact(px, py)),                                  # scattered
+            (W(xs, 0.7), exact(xs, 0.7)),                                # line
+            (W(-0.2, ys), exact(-0.2, ys)),                              # line
+            (W(0.4, 1.3), exact(0.4, 1.3)),                              # scalar
+            (W(xs[:, None], ys[None, :]), exact(xs[:, None], ys[None, :])),  # lattice
+            (W.total, exact(a, c) if orientation == "upper" else exact(b, d)),
+        ]
+        for got, expect in calls:
+            assert np.max(np.abs(got - expect)) <= 1e-13 * max(1.0, np.max(np.abs(expect)))
+
+    def test_antiderivative_polynomial(self, rng):
+        lo, hi = -1.0, 2.0
+        spec = QuadratureSpec().with_breaks(breaks_x=(-0.9, 0.3, 0.35))
+        G = Antiderivative1D("t^5 - 3*t^2 + 1", lo, hi, spec)
+        assert np.ptp(G.h) > 0.1
+
+        def exact(t):
+            return (t ** 6 - lo ** 6) / 6 - (t ** 3 - lo ** 3) + (t - lo)
+
+        ts = np.concatenate([G.b, rng.uniform(lo, hi, 200)])
+        grid = rng.uniform(lo, hi, (7, 5))
+        for got, expect in [(G(ts), exact(ts)), (G(grid), exact(grid)),
+                            (G(0.31), exact(0.31)), (G.total, exact(hi))]:
+            assert np.max(np.abs(got - expect)) <= 1e-13 * max(1.0, np.max(np.abs(expect)))
+
+
 def assert_lattice_matches_pointwise(fn, xs, ys):
     """fn on the outer product xs x ys agrees with fn at the meshgrid points."""
     lattice = fn(xs[:, None], ys[None, :])
