@@ -4,8 +4,11 @@ One JSON document (schema: command, inputs, result, pass, diagnostics,
 version) goes to stdout; a one-line human summary goes to stderr.  Exit
 codes: 0 check passed, 1 check evaluated but failed, 2 usage or
 expression error, 3 numeric failure (non-convergent quadrature or a
-domain violation).  Non-finite numbers are written as null, so stdout is
-strict JSON.  Warnings raised during a check (for example
+domain violation).  Each result record enters the document through its
+to_dict().  Non-finite numbers are written as null, so stdout is strict
+JSON, and the dotted path of each one (for example result.error_estimate)
+is listed under diagnostics.nonfinite; the key is absent when there were
+none.  Warnings raised during a check (for example
 FloorDerivativeWarning, or stieltjes2d's non-monotone integrator) are
 listed once each, in order, under diagnostics.warnings and echoed to
 stderr; the key is absent when there were none.
@@ -14,7 +17,6 @@ stderr; the key is absent when there were none.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -113,18 +115,18 @@ def _spec_from(args) -> QuadratureSpec:
                           tol=args.quad_tol)
 
 
-def _jsonable(obj):
+def _jsonable(obj, path: str, nonfinite: list):
+    """obj with numpy scalars as Python numbers and NaN/inf as None; the
+    dotted path of each non-finite number is appended to ``nonfinite``."""
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        return {k: _jsonable(v, f"{path}.{k}", nonfinite) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [_jsonable(v, f"{path}.{i}", nonfinite) for i, v in enumerate(obj)]
     if isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):  # NaN and +-inf are not JSON
+        nonfinite.append(path)
         return None
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        to_dict = getattr(obj, "to_dict", None)
-        return _jsonable(to_dict() if to_dict else dataclasses.asdict(obj))
     return obj
 
 
@@ -472,6 +474,10 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         args = parser.parse_args(_merge_value_flags(list(argv)))
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
+    # argparse reads a lone '--' as a flag value (--f=--) into an empty list
+    if any(isinstance(v, list) for v in vars(args).values()):
+        print("error: '--' is not a flag value", file=stderr)
+        return EXIT_USAGE
 
     command = args.command
     label = command if command != "verify" else f"verify {args.check}"
@@ -497,14 +503,17 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         k: v for k, v in sorted(vars(args).items())
         if k not in ("command", "check", "copula_command", "out") and v is not None
     }
+    nonfinite = []
     doc = {
         "command": label,
-        "inputs": _jsonable(inputs),
-        "result": _jsonable(result),
+        "inputs": _jsonable(inputs, "inputs", nonfinite),
+        "result": _jsonable(result, "result", nonfinite),
         "pass": bool(passed),
-        "diagnostics": _jsonable(diagnostics),
+        "diagnostics": _jsonable(diagnostics, "diagnostics", nonfinite),
         "version": __version__,
     }
+    if nonfinite:
+        doc["diagnostics"]["nonfinite"] = nonfinite
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         with open(args.out, "w") as fh:

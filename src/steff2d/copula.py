@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .core import NumericDomainError, _delta
+from .core import NumericDomainError, Record, _delta
 from .expr import BivariateFn, UnivariateFn, as_univariate
 
 __all__ = [
@@ -130,7 +130,7 @@ def archimedean(gen) -> BivariateFn:
 
 
 @dataclass(frozen=True)
-class CopulaReport:
+class CopulaReport(Record):
     """Boundary and 2d-monotonicity diagnostics for a candidate copula."""
 
     boundary_max_error: float
@@ -141,16 +141,7 @@ class CopulaReport:
     tol: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "boundary_max_error": self.boundary_max_error,
-            "boundary_witness_condition": self.boundary_witness_condition,
-            "boundary_witness_point": list(self.boundary_witness_point),
-            "min_cell_measure": self.min_cell_measure,
-            "grid": self.grid,
-            "tol": self.tol,
-            "pass": self.passed,
-        }
+    _renames = {"passed": "pass"}
 
 
 def validate_copula(C, grid: int = 64, tol: float = 1e-9) -> CopulaReport:

@@ -1,11 +1,11 @@
-"""Shared geometry, result, and error types, and the lattice kernel
-(mixed difference and its inverse, the rectangular prefix sum) used
-across the package."""
+"""Shared geometry, result, and error types, the JSON form of every result
+record, and the lattice kernel (mixed difference and its inverse, the
+rectangular prefix sum) used across the package."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -13,6 +13,7 @@ __all__ = [
     "Steff2dError",
     "NumericDomainError",
     "ConvergenceError",
+    "Record",
     "Rect",
     "IdentityResidual",
 ]
@@ -30,8 +31,31 @@ class ConvergenceError(Steff2dError):
     """A refinement loop hit its limit before reaching the target tolerance."""
 
 
+class Record:
+    """Base of the result dataclasses: ``to_dict`` is their JSON form.
+
+    It has one entry per field, in field order, keyed by the field name or
+    by its entry in ``_renames``.  A nested record becomes its own dict,
+    except an IdentityResidual, whose entries are merged inline.
+    """
+
+    _renames = {}
+
+    def to_dict(self) -> dict:
+        out = {}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, IdentityResidual):
+                out.update(value.to_dict())
+                continue
+            if isinstance(value, Record):
+                value = value.to_dict()
+            out[self._renames.get(field.name, field.name)] = value
+        return out
+
+
 @dataclass(frozen=True)
-class Rect:
+class Rect(Record):
     """Closed axis-aligned rectangle [a, b] x [c, d] with a < b and c < d."""
 
     a: float
@@ -82,9 +106,6 @@ class Rect:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
 
-    def to_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
-
 
 def _delta(V: np.ndarray) -> np.ndarray:
     """Mixed difference of a lattice of values, one entry per cell:
@@ -109,7 +130,7 @@ def _prefix_sums(U: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class IdentityResidual:
+class IdentityResidual(Record):
     """Two-sided identity evaluation with absolute/relative residuals.
 
     ``passed`` is true when the relative residual |lhs - rhs| / max(1, |lhs|)
@@ -125,6 +146,8 @@ class IdentityResidual:
     tolerance: float
     passed: bool
 
+    _renames = {"passed": "pass"}
+
     @classmethod
     def from_pair(cls, lhs: float, rhs: float, tolerance: float) -> "IdentityResidual":
         abs_res = abs(lhs - rhs)
@@ -137,13 +160,3 @@ class IdentityResidual:
             tolerance=float(tolerance),
             passed=bool(rel_res <= tolerance),
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_residual": self.abs_residual,
-            "rel_residual": self.rel_residual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import IdentityResidual, _delta, _prefix_sums
+from .core import IdentityResidual, Record, _delta, _prefix_sums
 
 __all__ = [
     "DoubleSequence",
@@ -132,7 +132,7 @@ def _first_negative(values: np.ndarray) -> Optional[tuple[int, int]]:
 
 
 @dataclass(frozen=True)
-class SteffensenReport:
+class SteffensenReport(Record):
     """Hypothesis diagnostics and conclusion for the double-sum inequality."""
 
     nonneg_a: bool
@@ -145,23 +145,14 @@ class SteffensenReport:
     tolerance: float
     conclusion_holds: bool
 
+    _renames = {"total": "sum"}
+
     @property
     def hypotheses_hold(self) -> bool:
         return self.nonneg_a and self.nonneg_delta and self.nonneg_partial_sums
 
     def to_dict(self) -> dict:
-        return {
-            "nonneg_a": self.nonneg_a,
-            "nonneg_delta": self.nonneg_delta,
-            "nonneg_partial_sums": self.nonneg_partial_sums,
-            "first_violation_a": self.first_violation_a,
-            "first_violation_delta": self.first_violation_delta,
-            "first_violation_partial_sums": self.first_violation_partial_sums,
-            "sum": self.total,
-            "tolerance": self.tolerance,
-            "conclusion_holds": self.conclusion_holds,
-            "hypotheses_hold": self.hypotheses_hold,
-        }
+        return {**super().to_dict(), "hypotheses_hold": self.hypotheses_hold}
 
 
 def steffensen_check(a: DoubleSequence, u: DoubleSequence,

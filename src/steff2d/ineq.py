@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import IdentityResidual, Rect
+from .core import IdentityResidual, Record, Rect
 from .expr import Bin, Call, Var, as_bivariate, as_univariate
 from .monotone import (
     ALTERNATING_2D,
@@ -68,7 +68,7 @@ def _require_symbolic(f, who: str):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class YoungResult:
+class YoungResult(Record):
     """Residual of an integration-by-parts identity plus its four terms.
 
     rhs = corner_term + edge_x_term + edge_y_term + mixed_term; the edge
@@ -82,19 +82,6 @@ class YoungResult:
     edge_x_term: float
     edge_y_term: float
     mixed_term: float
-
-    def to_dict(self) -> dict:
-        out = {"variant": self.variant}
-        out.update(self.residual.to_dict())
-        out.update(
-            {
-                "corner_term": self.corner_term,
-                "edge_x_term": self.edge_x_term,
-                "edge_y_term": self.edge_y_term,
-                "mixed_term": self.mixed_term,
-            }
-        )
-        return out
 
 
 def young_residual(variant: str, f, w, rect: Rect,
@@ -149,7 +136,7 @@ def young_residual(variant: str, f, w, rect: Rect,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(Record):
     """Outcome of one integral sign inequality with hypothesis diagnostics.
 
     For thm3/thm4 the inequality is lhs >= bound - tol with lhs the
@@ -170,22 +157,6 @@ class TheoremReport:
     primitive_max: float
     primitive_ok: bool
     hypotheses_hold: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "lhs": self.lhs,
-            "bound": self.bound,
-            "tol": self.tol,
-            "inequality_holds": self.inequality_holds,
-            "monotonicity": self.monotonicity.to_dict(),
-            "f_nonnegative": self.f_nonnegative,
-            "edge_hypothesis": self.edge_hypothesis,
-            "primitive_min": self.primitive_min,
-            "primitive_max": self.primitive_max,
-            "primitive_ok": self.primitive_ok,
-            "hypotheses_hold": self.hypotheses_hold,
-        }
 
 
 def _edge_increasing(f, er: Rect, grid: int, tol: float) -> tuple[bool, bool]:
@@ -273,7 +244,7 @@ def steffensen_integral(theorem: str, f, w, rect: Rect, grid: int = 32,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FourierCheck:
+class FourierCheck(Record):
     """Value and expected sign of one trigonometric-kernel integral."""
 
     kernel: str
@@ -285,19 +256,6 @@ class FourierCheck:
     sign_ok: bool
     profile_monotone: Optional[bool]
     profile_convex: Optional[bool]
-
-    def to_dict(self) -> dict:
-        return {
-            "kernel": self.kernel,
-            "m": self.m,
-            "n": self.n,
-            "value": self.value,
-            "error_estimate": self.error_estimate,
-            "expected_sign": self.expected_sign,
-            "sign_ok": self.sign_ok,
-            "profile_monotone": self.profile_monotone,
-            "profile_convex": self.profile_convex,
-        }
 
 
 def _profile_shape(F, lo: float, hi: float) -> tuple[bool, bool]:
@@ -376,7 +334,7 @@ def fourier_check(kernel: str, f, m: int = 1, n: int = 1,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BypartsResult:
+class BypartsResult(Record):
     """Residual of the Stieltjes integration-by-parts identity.
 
     The left side interprets the g-measure through the mixed density of
@@ -391,19 +349,6 @@ class BypartsResult:
     edge_y_term: float
     stieltjes_term: float
     edge_vanishing: bool
-
-    def to_dict(self) -> dict:
-        out = self.residual.to_dict()
-        out.update(
-            {
-                "corner_term": self.corner_term,
-                "edge_x_term": self.edge_x_term,
-                "edge_y_term": self.edge_y_term,
-                "stieltjes_term": self.stieltjes_term,
-                "edge_vanishing": self.edge_vanishing,
-            }
-        )
-        return out
 
 
 def byparts_residual(f, g: AcFunction, rect: Rect,
@@ -493,7 +438,7 @@ def sum_vs_integral(f, rect: Rect, spec: Optional[QuadratureSpec] = None,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Lemma1Report:
+class Lemma1Report(Record):
     """Verdict-versus-mixed-partial consistency at lattice resolution."""
 
     verdict: str
@@ -503,17 +448,6 @@ class Lemma1Report:
     consistent: bool
     grid: int
     tol: float
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "mixed_min": self.mixed_min,
-            "mixed_max": self.mixed_max,
-            "mixed_sign": self.mixed_sign,
-            "consistent": self.consistent,
-            "grid": self.grid,
-            "tol": self.tol,
-        }
 
 
 def lemma1_check(f, rect: Rect, grid: int = 32, tol: float = 1e-9) -> Lemma1Report:

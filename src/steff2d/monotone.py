@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import NumericDomainError, Rect, _delta
+from .core import NumericDomainError, Record, Rect, _delta
 from .expr import (
     Bin,
     BivariateFn,
@@ -73,7 +73,7 @@ def mixed_partial_fd(f, x: float, y: float, h: float) -> float:
 
 
 @dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport(Record):
     """Certification verdict with witnesses, at a stated grid resolution.
 
     verdict is "monotone2d" iff the minimum cell measure is >= -tol,
@@ -99,25 +99,6 @@ class MonotonicityReport:
     edge_left_increasing: bool
     nonnegative: bool
     f_min: float
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "min_measure": self.min_measure,
-            "max_measure": self.max_measure,
-            "min_witness": self.min_witness.to_dict(),
-            "max_witness": self.max_witness.to_dict(),
-            "grid": self.grid,
-            "tol": self.tol,
-            "margin": self.margin,
-            "eval_rect": self.eval_rect.to_dict(),
-            "edge_top_decreasing": self.edge_top_decreasing,
-            "edge_right_decreasing": self.edge_right_decreasing,
-            "edge_bottom_increasing": self.edge_bottom_increasing,
-            "edge_left_increasing": self.edge_left_increasing,
-            "nonnegative": self.nonnegative,
-            "f_min": self.f_min,
-        }
 
 
 def certify(f, domain: Rect, grid: int = 32, tol: float = 1e-9,

@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import ConvergenceError, IdentityResidual, NumericDomainError, Rect, _delta
+from .core import ConvergenceError, IdentityResidual, NumericDomainError, Record, Rect, _delta
 from .expr import BivariateFn, as_bivariate, as_univariate
 
 __all__ = [
@@ -469,7 +469,7 @@ class Antiderivative1D(_Primitive):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StieltjesResult:
+class StieltjesResult(Record):
     """Midpoint-tagged Riemann-Stieltjes sum plus the step-function bound.
 
     ``bound`` is the rectangle measure of the integrator times the sup of
@@ -484,16 +484,6 @@ class StieltjesResult:
     integrator_monotone: bool
     partition: int
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "bound": self.bound,
-            "error_estimate": self.error_estimate,
-            "converged": self.converged,
-            "integrator_monotone": self.integrator_monotone,
-            "partition": self.partition,
-        }
-
 
 def stieltjes2d(h, f, rect: Rect, partition: int = 64, tol: float = 1e-8,
                 doublings: int = 4, mono_tol: float = 1e-9) -> StieltjesResult:
@@ -505,6 +495,8 @@ def stieltjes2d(h, f, rect: Rect, partition: int = 64, tol: float = 1e-8,
     """
     if partition < 1:
         raise ValueError("partition must be >= 1")
+    if doublings < 0:
+        raise ValueError("doublings must be >= 0")
     h = as_bivariate(h)
     f = as_bivariate(f)
     n = partition

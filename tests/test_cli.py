@@ -23,39 +23,91 @@ def invoke_json(argv):
     return code, json.loads(out)
 
 
+RECT_KEYS = {"a", "b", "c", "d"}
+RESIDUAL_KEYS = {"lhs", "rhs", "abs_residual", "rel_residual", "tolerance", "pass"}
+MONOTONICITY_KEYS = {
+    "verdict", "min_measure", "max_measure", "min_witness", "max_witness", "grid", "tol",
+    "margin", "eval_rect", "edge_top_decreasing", "edge_right_decreasing",
+    "edge_bottom_increasing", "edge_left_increasing", "nonnegative", "f_min",
+}
+MONOTONICITY = {"": MONOTONICITY_KEYS, "eval_rect": RECT_KEYS, "min_witness": RECT_KEYS,
+                "max_witness": RECT_KEYS}
+COPULA_KEYS = {"boundary_max_error", "boundary_witness_condition", "boundary_witness_point",
+               "min_cell_measure", "grid", "tol", "pass"}
+INTEGRAL_KEYS = {"value", "error_estimate"}
+YOUNG_KEYS = RESIDUAL_KEYS | {"variant", "corner_term", "edge_x_term", "edge_y_term",
+                              "mixed_term"}
+THEOREM = {
+    "": {"theorem", "lhs", "bound", "tol", "inequality_holds", "monotonicity",
+         "f_nonnegative", "edge_hypothesis", "primitive_min", "primitive_max",
+         "primitive_ok", "hypotheses_hold"},
+    "monotonicity": MONOTONICITY_KEYS,
+    "monotonicity.eval_rect": RECT_KEYS,
+    "monotonicity.min_witness": RECT_KEYS,
+    "monotonicity.max_witness": RECT_KEYS,
+}
+
+# Each passing command with the key set of every JSON object in its result,
+# by dotted path ("" for the result itself).
 PASSING_COMMANDS = [
-    ["certify", "--f", "x*y", "--rect", "0,1,0,1", "--grid", "32"],
-    ["integrate", "--f", "x*y", "--rect", "0,1,0,1"],
-    ["integrate", "--f", "floor(x)+y", "--rect", "0,3,0,1", "--breaks", "x:1,2"],
-    ["stieltjes", "--h", "x+y", "--f", "x*y", "--rect", "0,1,0,1", "--partition", "32"],
-    ["copula", "validate", "--f", "x*y", "--grid", "32"],
-    ["copula", "archimedean", "--phi", "-log(t)", "--eval", "0.5,0.5", "--grid", "32"],
-    ["mollify", "--f", "5", "--rect", "0,1,0,1", "--n", "4", "--eval", "0.5,0.5"],
-    ["verify", "hardy", "--p", "5", "--q", "7", "--trials", "50", "--seed", "42"],
-    ["verify", "steffensen", "--p", "4", "--q", "4", "--trials", "50", "--seed", "42"],
-    ["verify", "steffensen", "--a", "[[0.25,0.125],[0.125,0.0625]]",
-     "--u", "[[1,-1],[-1,1]]"],
-    ["verify", "young1", "--f", "x", "--w", "1", "--rect", "0,1,0,1"],
-    ["verify", "young2", "--f", "x", "--w", "1", "--rect", "0,1,0,1"],
-    ["verify", "thm3", "--f", "exp(-x-y)", "--w", "sin(x)*sin(y)",
-     "--rect", "0,2*pi,0,2*pi"],
-    ["verify", "thm4", "--f", "x*y", "--w", "1", "--rect", "0,1,0,1"],
-    ["verify", "remark3", "--f", "log(x^2+y^2)", "--w", "-sin(x+y)",
-     "--rect", "0,3*pi/4,0,3*pi/4", "--margin", "1e-6"],
-    ["verify", "fourier", "--kernel", "sinsin2d", "--f", "u^2", "--m", "1", "--n", "1"],
-    ["verify", "byparts", "--f", "exp(-x-y)", "--gdensity", "1", "--rect", "0,1,0,1"],
-    ["verify", "corollary", "--f", "x*y", "--rect", "0,2,0,2"],
-    ["verify", "lemma1", "--f", "x*y", "--rect", "0,1,0,1"],
+    (["certify", "--f", "x*y", "--rect", "0,1,0,1", "--grid", "32"], MONOTONICITY),
+    (["integrate", "--f", "x*y", "--rect", "0,1,0,1"], {"": INTEGRAL_KEYS}),
+    (["integrate", "--f", "floor(x)+y", "--rect", "0,3,0,1", "--breaks", "x:1,2"],
+     {"": INTEGRAL_KEYS}),
+    (["stieltjes", "--h", "x+y", "--f", "x*y", "--rect", "0,1,0,1", "--partition", "32"],
+     {"": {"value", "bound", "error_estimate", "converged", "integrator_monotone",
+           "partition"}}),
+    (["copula", "validate", "--f", "x*y", "--grid", "32"], {"": COPULA_KEYS}),
+    (["copula", "archimedean", "--phi", "-log(t)", "--eval", "0.5,0.5", "--grid", "32"],
+     {"": {"value", "point", "validation"}, "validation": COPULA_KEYS}),
+    (["mollify", "--f", "5", "--rect", "0,1,0,1", "--n", "4", "--eval", "0.5,0.5"],
+     {"": {"value", "point", "mollifier_mass", "mass_error_estimate", "n"}}),
+    (["verify", "hardy", "--p", "5", "--q", "7", "--trials", "50", "--seed", "42"],
+     {"": {"trials", "p", "q", "max_rel_residual"}}),
+    (["verify", "steffensen", "--p", "4", "--q", "4", "--trials", "50", "--seed", "42"],
+     {"": {"trials", "p", "q", "min_sum"}}),
+    (["verify", "steffensen", "--a", "[[0.25,0.125],[0.125,0.0625]]",
+      "--u", "[[1,-1],[-1,1]]"],
+     {"": {"nonneg_a", "nonneg_delta", "nonneg_partial_sums", "first_violation_a",
+           "first_violation_delta", "first_violation_partial_sums", "sum", "tolerance",
+           "conclusion_holds", "hypotheses_hold"}}),
+    (["verify", "young1", "--f", "x", "--w", "1", "--rect", "0,1,0,1"], {"": YOUNG_KEYS}),
+    (["verify", "young2", "--f", "x", "--w", "1", "--rect", "0,1,0,1"], {"": YOUNG_KEYS}),
+    (["verify", "thm3", "--f", "exp(-x-y)", "--w", "sin(x)*sin(y)",
+      "--rect", "0,2*pi,0,2*pi"], THEOREM),
+    (["verify", "thm4", "--f", "x*y", "--w", "1", "--rect", "0,1,0,1"], THEOREM),
+    (["verify", "remark3", "--f", "log(x^2+y^2)", "--w", "-sin(x+y)",
+      "--rect", "0,3*pi/4,0,3*pi/4", "--margin", "1e-6"], THEOREM),
+    (["verify", "fourier", "--kernel", "sinsin2d", "--f", "u^2", "--m", "1", "--n", "1"],
+     {"": {"kernel", "m", "n", "value", "error_estimate", "expected_sign", "sign_ok",
+           "profile_monotone", "profile_convex"}}),
+    (["verify", "byparts", "--f", "exp(-x-y)", "--gdensity", "1", "--rect", "0,1,0,1"],
+     {"": RESIDUAL_KEYS | {"corner_term", "edge_x_term", "edge_y_term", "stieltjes_term",
+                           "edge_vanishing"}}),
+    (["verify", "corollary", "--f", "x*y", "--rect", "0,2,0,2"], {"": RESIDUAL_KEYS}),
+    (["verify", "lemma1", "--f", "x*y", "--rect", "0,1,0,1"],
+     {"": {"verdict", "mixed_min", "mixed_max", "mixed_sign", "consistent", "grid", "tol"}}),
 ]
 
 
-@pytest.mark.parametrize("argv", PASSING_COMMANDS, ids=lambda a: " ".join(a[:2]) + "…")
-def test_passing_commands_emit_schema_and_exit_zero(argv):
+def key_sets(obj: dict, at: str = "") -> dict:
+    """Key set of obj and of every JSON object nested in it, by dotted path."""
+    sets = {at: set(obj)}
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            sets.update(key_sets(value, f"{at}.{key}" if at else key))
+    return sets
+
+
+@pytest.mark.parametrize("argv, result_keys", PASSING_COMMANDS,
+                         ids=[" ".join(argv[:2]) + "…" for argv, _ in PASSING_COMMANDS])
+def test_passing_commands_emit_schema_and_exit_zero(argv, result_keys):
     code, doc = invoke_json(argv)
     assert code == EXIT_PASS, doc
     assert set(doc) == SCHEMA_KEYS
     assert doc["pass"] is True
     assert doc["version"]
+    assert key_sets(doc["result"]) == result_keys
 
 
 class TestSpecificResults:
@@ -128,6 +180,19 @@ class TestExitCodes:
         assert not out
         assert "nested deeper than" in err
 
+    def test_negative_doublings_exits_two(self):
+        code, out, err = invoke(["stieltjes", "--h", "x*y", "--f", "x*y", "--rect", "0,1,0,1",
+                                 "--doublings", "-1"])
+        assert code == EXIT_USAGE
+        assert not out
+        assert "doublings" in err
+
+    def test_double_dash_value_exits_two(self):
+        code, out, err = invoke(["stieltjes", "--h", "x", "--f", "--", "--rect", "0,1,0,1"])
+        assert code == EXIT_USAGE
+        assert not out
+        assert "'--' is not a flag value" in err
+
     def test_domain_violation_exits_three(self):
         code, _, err = invoke(["certify", "--f", "log(x-10)", "--rect", "0,1,0,1"])
         assert code == EXIT_NUMERIC
@@ -156,6 +221,16 @@ class TestStrictJson:
         doc = json.loads(out, parse_constant=reject)
         assert doc["result"]["error_estimate"] is None
         assert doc["result"]["converged"] is False
+
+    def test_nonfinite_fields_are_listed(self):
+        _, doc = invoke_json(["stieltjes", "--h", "x+y", "--f", "x*y", "--rect", "0,1,0,1",
+                              "--doublings", "0"])
+        assert doc["diagnostics"]["nonfinite"] == ["result.error_estimate"]
+
+    def test_no_nonfinite_key_when_all_finite(self):
+        _, doc = invoke_json(["stieltjes", "--h", "x+y", "--f", "x*y", "--rect", "0,1,0,1",
+                              "--doublings", "1"])
+        assert "nonfinite" not in doc["diagnostics"]
 
 
 NON_MONOTONE_STIELTJES = ["stieltjes", "--h", "1", "--f", "sin(3*x)*sin(3*y)",
