@@ -11,7 +11,9 @@ is listed under diagnostics.nonfinite; the key is absent when there were
 none.  Warnings raised during a check (for example
 FloorDerivativeWarning, or stieltjes2d's non-monotone integrator) are
 listed once each, in order, under diagnostics.warnings and echoed to
-stderr; the key is absent when there were none.
+stderr; the key is absent when there were none.  The argparse tree is
+built once per process, on the first run() call, and reused by every
+later call; each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 import math
 import sys
 import warnings
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -138,6 +141,7 @@ def _add_quad_flags(p: argparse.ArgumentParser):
     p.add_argument("--max-refine", type=int, default=d.max_refine, help="refinement sweep limit")
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(
         prog="steff2d",
@@ -486,7 +490,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
             warnings.simplefilter("always")
             result, passed, diagnostics = _DISPATCH[command](args)
     except (UsageError, ParseError, CatalogError, InvalidGeneratorError, ValueError,
-            TypeError, OSError, json.JSONDecodeError) as exc:
+            OSError, json.JSONDecodeError) as exc:
         _report_warnings(caught, stderr)
         print(f"error: {exc}", file=stderr)
         return EXIT_USAGE

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .core import IdentityResidual, Record, Rect
-from .expr import Bin, Call, Var, as_bivariate, as_univariate
+from .expr import Bin, BivariateFn, Call, UnivariateFn, Var, as_bivariate, as_univariate
 from .monotone import (
     ALTERNATING_2D,
     INDEFINITE,
@@ -284,6 +284,12 @@ def fourier_check(kernel: str, f, m: int = 1, n: int = 1,
         raise ValueError(f"unknown kernel {kernel!r}")
     if m < 1 or n < 1:
         raise ValueError("kernel indices m, n must be positive integers")
+    if kernel == "coscos2d" and isinstance(f, UnivariateFn):
+        raise ValueError("kernel 'coscos2d' takes a two-variable integrand, not a "
+                         "one-variable function")
+    if kernel != "coscos2d" and isinstance(f, BivariateFn):
+        raise ValueError(f"kernel {kernel!r} takes a one-variable profile, not a "
+                         "bivariate function")
     spec = spec or DEFAULT_SPEC
     two_pi = 2.0 * math.pi
     osc_cells = max(spec.cells, 2 * max(m, n))

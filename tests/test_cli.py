@@ -1,12 +1,17 @@
 """End-to-end CLI tests: exit codes, JSON schema, determinism."""
 
+import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from steff2d.cli import EXIT_FAIL, EXIT_NUMERIC, EXIT_PASS, EXIT_USAGE, run
+import steff2d
+from steff2d.cli import EXIT_FAIL, EXIT_NUMERIC, EXIT_PASS, EXIT_USAGE, _build_parser, run
 
 SCHEMA_KEYS = {"command", "inputs", "result", "pass", "diagnostics", "version"}
 
@@ -187,6 +192,13 @@ class TestExitCodes:
         assert not out
         assert "doublings" in err
 
+    @pytest.mark.parametrize("kernel", ["cos1d", "sin1d", "sinsin2d"])
+    def test_bivariate_profile_for_one_variable_kernel_exits_two(self, kernel):
+        code, out, err = invoke(["verify", "fourier", "--kernel", kernel, "--f", "catalog:Pi"])
+        assert code == EXIT_USAGE
+        assert not out
+        assert f"kernel {kernel!r} takes a one-variable profile" in err
+
     def test_double_dash_value_exits_two(self):
         code, out, err = invoke(["stieltjes", "--h", "x", "--f", "--", "--rect", "0,1,0,1"])
         assert code == EXIT_USAGE
@@ -300,3 +312,48 @@ class TestDeterminism:
         assert code == EXIT_PASS
         assert doc["result"]["sum"] == 1.0 / 16.0
         assert doc["result"]["hypotheses_hold"] is True
+
+
+# Consecutive in-process calls share one parser; none may see another's flags
+# (--breaks given once, then omitted), usage error or --help.
+REUSE_SEQUENCE = [
+    ["integrate", "--f", "floor(2*x)+y", "--rect", "0,1,0,1", "--breaks", "x:0.5;y:0.25"],
+    ["verify", "byparts", "--f", "x*y", "--gdensity", "1", "--rect", "0,1,0,1"],
+    ["copula", "archimedean", "--phi", "-log(t)", "--eval", "0.3,0.6", "--grid", "16"],
+    ["integrate", "--f", "x*y"],
+    ["--help"],
+    ["integrate", "--f", "floor(2*x)+y", "--rect", "0,1,0,1"],
+    ["verify", "hardy", "--p", "4", "--q", "3", "--trials", "5"],
+]
+
+
+def fresh_env() -> dict:
+    """Environment for a fresh interpreter that imports this steff2d."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(steff2d.__file__)))
+    return {**os.environ, "PYTHONPATH": src}
+
+
+class TestParserReuse:
+    def test_parser_is_built_on_first_use_only(self):
+        probe = "import steff2d.cli as c; print(c._build_parser.cache_info().currsize)"
+        done = subprocess.run([sys.executable, "-c", probe], env=fresh_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.strip() == "0"  # not at import
+        assert _build_parser() is _build_parser()
+
+    def test_sequence_matches_fresh_processes(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps at the terminal width
+        fresh = [subprocess.Popen([sys.executable, "-m", "steff2d.cli", *argv], env=fresh_env(),
+                                  stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+                 for argv in REUSE_SEQUENCE]
+        codes = []
+        for argv, proc in zip(REUSE_SEQUENCE, fresh):
+            out = io.StringIO()
+            # --help and usage errors are written by argparse to sys.stdout/stderr
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = run(argv)
+            expect, _ = proc.communicate(timeout=120)
+            assert (code, out.getvalue()) == (proc.returncode, expect), argv
+            codes.append(code)
+        assert codes == [EXIT_PASS, EXIT_PASS, EXIT_PASS, EXIT_USAGE, EXIT_PASS, EXIT_PASS,
+                         EXIT_PASS]

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import SMOOTH_FAMILY, random_integer_rect, random_positive_smooth
 from steff2d.core import Rect
-from steff2d.expr import BivariateFn
+from steff2d.expr import BivariateFn, UnivariateFn
 from steff2d.ineq import (
     byparts_residual,
     fourier_check,
@@ -190,6 +190,15 @@ class TestFourier:
         expect = (math.exp(TWO_PI) - 1) ** 2 / ((1 + m**2) * (1 + n**2))
         assert res.value == pytest.approx(expect, rel=1e-8)
         assert res.sign_ok
+
+    @pytest.mark.parametrize("kernel", ["cos1d", "sin1d", "sinsin2d"])
+    def test_bivariate_profile_rejected_up_front(self, kernel):
+        with pytest.raises(ValueError, match=f"kernel {kernel!r} takes a one-variable profile"):
+            fourier_check(kernel, BivariateFn.from_expression("x*y"))
+
+    def test_univariate_integrand_rejected_for_coscos2d(self):
+        with pytest.raises(ValueError, match="kernel 'coscos2d' takes a two-variable"):
+            fourier_check("coscos2d", UnivariateFn.from_expression("x^2"))
 
     def test_kernel_and_indices_validated(self):
         with pytest.raises(ValueError):

@@ -212,7 +212,64 @@ def assert_lattice_matches_pointwise(fn, xs, ys):
     assert np.max(np.abs(lattice - pointwise)) <= 1e-14 * scale
 
 
+def assert_matches_eval(W, got, x, y):
+    """got equals W's pointwise _eval at the broadcast (x, y), to rounding."""
+    xs, ys = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    expect = W._eval(*W._oriented(xs.ravel(), ys.ravel())).reshape(xs.shape)
+    assert np.shape(got) == expect.shape
+    scale = max(1.0, float(np.max(np.abs(expect), initial=0.0)))
+    assert np.max(np.abs(got - expect), initial=0.0) <= 1e-14 * scale
+
+
+@pytest.fixture(params=["lower", "upper"])
+def breaks_primitive(request):
+    """A primitive on non-uniform cells (user breaks), in either orientation."""
+    spec = QuadratureSpec().with_breaks(breaks_x=(0.3, 1.1), breaks_y=(0.9, 1.05))
+    W = cumulative("exp(-x)*cos(3*y) + x*y", Rect(-0.5, 2.0, 0.25, 1.75), request.param, spec)
+    assert np.ptp(W.hx) > 0.1 and np.ptp(W.hy) > 0.1
+    return W
+
+
 class TestLatticeEvaluation:
+    def test_lines_and_scalars_match_pointwise(self, breaks_primitive, rng):
+        W = breaks_primitive
+        a, b, c, d = W.rect.as_tuple()
+        xs = np.concatenate([W.bx, a + (b - W.bx), rng.uniform(a, b, 40)])
+        ys = np.concatenate([W.by, c + (d - W.by), rng.uniform(c, d, 30)])
+        for x, y in [
+            (xs, 0.7), (xs, d), (xs, W.by[2]), (xs, [1.2]),     # x-lines
+            (0.4, ys), (b, ys), (W.bx[3], ys), ([[0.1]], ys),   # y-lines
+            (xs[:64].reshape(8, 8), 1.3),                       # an integrate1d-shaped x-line
+            (0.4, 1.3), (a, c), (b, d), (W.bx[2], W.by[1]),     # scalars
+            ([0.4], [[1.3]]), (xs[:0], 0.5), (0.5, ys[:0]),     # one point, empty lines
+        ]:
+            assert_matches_eval(W, W(x, y), x, y)
+        assert isinstance(W(0.4, 1.3), float)
+
+    @pytest.mark.parametrize("order", ["unsorted", "repeated", "one-cell", "descending"])
+    def test_lattice_column_orders_match_pointwise(self, breaks_primitive, order, rng):
+        W = breaks_primitive
+        a, b, c, d = W.rect.as_tuple()
+        xs = np.concatenate([W.bx, rng.uniform(a, b, 9)])
+        ys = np.concatenate([W.by, rng.uniform(c, d, 12)])
+        ys = {
+            "unsorted": rng.permutation(ys),
+            "repeated": np.repeat(rng.permutation(ys), 3),
+            "one-cell": rng.uniform(W.by[1], W.by[2], 7),
+            "descending": np.sort(ys)[::-1],
+        }[order]
+        assert_matches_eval(W, W(xs[:, None], ys[None, :]), xs[:, None], ys[None, :])
+
+    def test_line_keeps_base_edges_exactly_zero(self):
+        r = Rect(0, 2, 0, 2)
+        spec = QuadratureSpec().with_breaks(breaks_x=(0.3,), breaks_y=(1.7,))
+        t = np.linspace(0, 2, 17)
+        lower = cumulative("exp(-x)*cos(y) + 1", r, "lower", spec)
+        upper = cumulative("exp(-x)*cos(y) + 1", r, "upper", spec)
+        for W, x0, y0 in [(lower, 0.0, 0.0), (upper, 2.0, 2.0)]:
+            assert np.all(W(x0, t) == 0.0) and np.all(W(t, y0) == 0.0)
+            assert W(x0, 1.3) == 0.0 and W(0.7, y0) == 0.0 and W(x0, y0) == 0.0
+
     @pytest.mark.parametrize("orientation", ["lower", "upper"])
     def test_matches_pointwise(self, orientation, rng):
         r = Rect(-0.5, 2.0, 0.25, 1.75)
@@ -234,6 +291,15 @@ class TestLatticeEvaluation:
         W = cumulative("sin(40*x)*cos(30*y)", r, "upper", QuadratureSpec(cells=32))
         assert W.hx.size == W.hy.size == 64
         assert_lattice_matches_pointwise(W, r.xs(99), r.ys(1999))
+
+    @pytest.mark.parametrize("orientation", ["lower", "upper"])
+    def test_row_blocks_in_every_column_order(self, orientation, rng):
+        # as above: 4 row blocks, each with one matmul per occupied y cell
+        r = Rect(0, 1, 0, 2)
+        W = cumulative("sin(40*x)*cos(30*y)", r, orientation, QuadratureSpec(cells=32))
+        xs = r.xs(99)
+        for ys in (r.ys(1999), r.ys(1999)[::-1], rng.permutation(r.ys(1999))):
+            assert_matches_eval(W, W(xs[:, None], ys[None, :]), xs[:, None], ys[None, :])
 
     def test_base_edges_exactly_zero(self):
         r = Rect(0, 2, 0, 2)
