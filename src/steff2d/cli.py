@@ -343,6 +343,9 @@ def _run_mollify(args):
 
 def _run_verify(args):
     check = args.check
+    trial_mode = check == "hardy" or (check == "steffensen" and args.a is args.u is None)
+    if trial_mode and args.trials < 1:
+        raise UsageError("--trials must be >= 1")
     if check == "hardy":
         rng = np.random.default_rng(args.seed)
         worst = 0.0

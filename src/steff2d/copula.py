@@ -153,6 +153,8 @@ def validate_copula(C, grid: int = 64, tol: float = 1e-9) -> CopulaReport:
     """
     from .expr import as_bivariate
 
+    if grid < 1:
+        raise ValueError("grid must be >= 1")
     C = as_bivariate(C)
     ts = np.linspace(0.0, 1.0, grid + 1)
     zeros = np.zeros_like(ts)

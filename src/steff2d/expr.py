@@ -380,7 +380,7 @@ def _emit(node: Ast, lines: list) -> tuple[str, int]:
     assignments to locals t0, t1, ... and referenced by name.
     """
     if isinstance(node, Num):
-        return f"({node.value!r})", 1
+        return f"({_literal(node.value)})", 1
     if isinstance(node, Var):
         return node.name, 0
     if isinstance(node, Unary):
@@ -431,6 +431,20 @@ def _prec_of(node: Ast) -> int:
     return _BINARY_PREC[node.op]
 
 
+def _literal(value: float) -> str:
+    """Source text of a constant that both the parser and Python read back.
+
+    repr gives "inf" and "nan" for non-finite values, which neither reads: a
+    literal that overflows ("1e310") parses to an infinity, and constant
+    folding in derivatives can make either.
+    """
+    if math.isfinite(value):
+        return repr(value)
+    if math.isnan(value):
+        return "(1e999 - 1e999)"
+    return "1e999" if value > 0 else "-1e999"
+
+
 def _wrap(child: Ast, text: str, required: int) -> str:
     if _prec_of(child) < required:
         return f"({text})"
@@ -441,7 +455,7 @@ def to_string(node: Ast) -> str:
     """Render an AST; parse(to_string(a)) reproduces a."""
     # one stack frame per tree level: children are rendered here, not in _wrap
     if isinstance(node, Num):
-        return repr(node.value)
+        return _literal(node.value)
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Unary):

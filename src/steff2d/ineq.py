@@ -63,6 +63,20 @@ def _require_symbolic(f, who: str):
     return f
 
 
+def _boundary_terms(f, G, rect: Rect, spec: QuadratureSpec, upper: bool = False) -> tuple:
+    """Corner and edge terms of 2D integration by parts: (f G at (b, d),
+    -int f_x(., d) G(., d), -int f_y(b, .) G(b, .)), or with upper set the
+    same at (a, c) with plus signs."""
+    a, b, c, d = rect.as_tuple()
+    x0, y0, sign = (a, c, 1.0) if upper else (b, d, -1.0)
+    fx, fy = f.symbolic_partial("x"), f.symbolic_partial("y")
+    spec_y = spec.with_breaks(spec.breaks_y)  # the y-axis edge integral
+    corner = float(f(x0, y0)) * float(G(x0, y0))
+    edge_x = sign * integrate1d(lambda t: fx(t, y0) * G(t, y0), a, b, spec).value
+    edge_y = sign * integrate1d(lambda t: fy(x0, t) * G(x0, t), c, d, spec_y).value
+    return corner, edge_x, edge_y
+
+
 # ---------------------------------------------------------------------------
 # Young-type integration-by-parts identities
 # ---------------------------------------------------------------------------
@@ -101,24 +115,12 @@ def young_residual(variant: str, f, w, rect: Rect,
     spec = spec or DEFAULT_SPEC
     f = _require_symbolic(f, "young_residual")
     w = as_bivariate(w)
-    fx = f.symbolic_partial("x")
-    fy = f.symbolic_partial("y")
     fxy = f.mixed_partial()
-    a, b, c, d = rect.as_tuple()
-    spec_y = spec.with_breaks(spec.breaks_y)  # the y-axis edge integrals
 
     lhs = integrate2d(lambda x, y: f(x, y) * w(x, y), rect, spec).value
 
-    if variant == "Y1":
-        W = cumulative(w, rect, "lower", spec)
-        corner = float(f(b, d)) * W(b, d)
-        edge_x = -integrate1d(lambda t: fx(t, d) * W(t, d), a, b, spec).value
-        edge_y = -integrate1d(lambda t: W(b, t) * fy(b, t), c, d, spec_y).value
-    else:
-        W = cumulative(w, rect, "upper", spec)
-        corner = float(f(a, c)) * W(a, c)
-        edge_x = integrate1d(lambda t: W(t, c) * fx(t, c), a, b, spec).value
-        edge_y = integrate1d(lambda t: W(a, t) * fy(a, t), c, d, spec_y).value
+    W = cumulative(w, rect, "upper" if variant == "Y2" else "lower", spec)
+    corner, edge_x, edge_y = _boundary_terms(f, W, rect, spec, upper=variant == "Y2")
     mixed = integrate2d(lambda x, y: W(x, y) * fxy(x, y), rect, spec).value
     rhs = corner + edge_x + edge_y + mixed
     return YoungResult(
@@ -368,18 +370,13 @@ def byparts_residual(f, g: AcFunction, rect: Rect,
     f = _require_symbolic(f, "byparts_residual")
     if not isinstance(g, AcFunction):
         raise TypeError("g must be built via from_ac so its mixed density is known")
-    fx = f.symbolic_partial("x")
-    fy = f.symbolic_partial("y")
     a, b, c, d = rect.as_tuple()
-    spec_y = spec.with_breaks(spec.breaks_y)  # the y-axis edge integral
 
     if g.density is not None:
         lhs = integrate2d(lambda x, y: f(x, y) * g.density(x, y), rect, spec).value
     else:
         lhs = 0.0
-    corner = float(f(b, d)) * float(g(b, d))
-    edge_x = -integrate1d(lambda t: fx(t, d) * g(t, d), a, b, spec).value
-    edge_y = -integrate1d(lambda t: fy(b, t) * g(b, t), c, d, spec_y).value
+    corner, edge_x, edge_y = _boundary_terms(f, g, rect, spec)
     stj = stieltjes2d(g, f, rect, partition=partition, tol=spec.tol, doublings=doublings)
     rhs = corner + edge_x + edge_y + stj.value
 

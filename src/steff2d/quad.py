@@ -19,11 +19,11 @@ Legendre coefficients times the cell half-widths.  q is (1, 0, ..., 0) at
 a cell's left end and T's row 0 is zero in the first x cells (column 0 in
 the first y cells), so W is exactly zero on its base edges.  Scattered
 points cost one contraction each.  A line (one coordinate a scalar, as in
-the edge integrals of byparts_residual) contracts the scalar's row into
-T first and then costs one dot product per point.  An outer-product call
-(x of shape (n, 1), y of shape (1, m)), as from stieltjes2d and
-lattice_extrema, builds q once per axis, contracts the x rows against T,
-and then takes one matmul per occupied y cell against that cell's y rows.
+the edge integrals of the by-parts checks) contracts the scalar's row into
+T, which leaves a 1-D primitive, read out like Antiderivative1D.  An
+outer-product call (x of shape (n, 1), y of shape (1, m)), as from
+stieltjes2d and lattice_extrema, builds q once per axis, contracts the x
+rows against T, and then takes one matmul per run of columns in one y cell.
 """
 
 from __future__ import annotations
@@ -291,6 +291,16 @@ def _axes(points: int, *axes) -> list:
     return rows
 
 
+def _rows(R: np.ndarray, b: np.ndarray, h: np.ndarray, t: np.ndarray, points: int) -> np.ndarray:
+    """A one-dimensional primitive with coefficient rows R, one per cell of the
+    boundaries b, at the points t (n,): one dot product per point."""
+    out = np.empty(t.size)
+    for k in _blocks(t.size, 1):
+        i, q = _axes(points, (b, h, t[k]))
+        out[k] = np.einsum("na,na->n", q, R[i])
+    return out
+
+
 class _Primitive:
     """Build -> probe -> halve loop shared by the 1D and 2D primitives.
 
@@ -382,59 +392,43 @@ class CumulativePrimitive(_Primitive):
     def _eval(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         out = np.empty(x.size)
         for k in _blocks(x.size, 1):
-            out[k] = self._eval_chunk(x[k], y[k])
+            # one _axes call per axis: a shared call over a block of 1 << 16 points
+            # runs its arrays past the cache (15-30% slower at 1e6 points)
+            ix, qx = _axes(self.points, (self.bx, self.hx, x[k]))
+            iy, qy = _axes(self.points, (self.by, self.hy, y[k]))
+            # two einsum calls: numpy's single three-operand call is about twice as slow
+            out[k] = np.einsum("nb,nb->n", np.einsum("na,nab->nb", qx, self.T[ix, iy]), qy)
         return out
 
-    def _eval_chunk(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # one _axes call per axis: a shared call over a block of 1 << 16 points
-        # runs its arrays past the cache (15-30% slower at 1e6 points)
-        ix, qx = _axes(self.points, (self.bx, self.hx, x))
-        iy, qy = _axes(self.points, (self.by, self.hy, y))
-        # two einsum calls: numpy's single three-operand call is about twice as slow
-        return np.einsum("nb,nb->n", np.einsum("na,nab->nb", qx, self.T[ix, iy]), qy)
-
     def _line(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """W along a line, x (n,) at one y or one x at y (n,): the scalar axis
-        is contracted into T first, leaving a row S[i] per cell of the other
-        axis, and each point costs one dot product with its cell's row."""
+        """W along a line, x (n,) at one y or one x at y (n,): contracting the
+        scalar axis into T leaves one coefficient row per cell of the other
+        axis, so the line is a 1-D primitive."""
         p = self.points
         if y.size == 1:
             iy, qy = _axes(p, (self.by, self.hy, y))
-            S = self.T[:, iy[0]] @ qy[0]
-            b, h, t = self.bx, self.hx, x
-        else:
-            ix, qx = _axes(p, (self.bx, self.hx, x))
-            S = qx[0] @ self.T[ix[0]]
-            b, h, t = self.by, self.hy, y
-        out = np.empty(t.size)
-        for k in _blocks(t.size, 1):
-            i, q = _axes(p, (b, h, t[k]))
-            out[k] = np.einsum("na,na->n", q, S[i])
-        return out
+            return _rows(self.T[:, iy[0]] @ qy[0], self.bx, self.hx, x, p)
+        ix, qx = _axes(p, (self.bx, self.hx, x))
+        return _rows(qx[0] @ self.T[ix[0]], self.by, self.hy, y, p)
 
     def _lattice(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """W on the tensor lattice x (n,) by y (m,), shape (n, m), in row blocks.
 
-        The columns are taken in y-cell order, so the columns of each
-        occupied y cell form one run and one matmul against the x strip.
-        Columns out of that order (a descending y, as the upper orientation
-        makes of an ascending lattice) are sorted first and gathered back
-        at the end.
+        Each run of consecutive columns in one y cell takes one matmul
+        against the x strip.  An ascending or a descending y (the upper
+        orientation reverses an ascending lattice) has one run per occupied
+        y cell; a shuffled y stays correct but costs one matmul per run.
         """
         ix, qx, iy, qy = _axes(self.points, (self.bx, self.hx, x), (self.by, self.hy, y))
-        back = None
-        if np.any(iy[1:] < iy[:-1]):
-            order = np.argsort(iy, kind="stable")
-            back, iy, qy = np.argsort(order), iy[order], qy[order]
-        cells, starts = np.unique(iy, return_index=True)
-        runs = list(zip(cells, starts, np.append(starts[1:], iy.size)))
+        starts = np.flatnonzero(np.diff(iy, prepend=-1))
+        runs = list(zip(iy[starts], starts, np.append(starts[1:], iy.size)))
         qyt = qy.T
         out = np.empty((x.size, y.size))
         for r in _blocks(x.size, max(y.size, self.hy.size)):
             strip = np.einsum("ka,kjab->jkb", qx[r], self.T[ix[r]])
             for j, s, e in runs:
                 out[r, s:e] = strip[j] @ qyt[:, s:e]
-        return out if back is None else out[:, back]
+        return out
 
     def _oriented(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.orientation == "upper":
@@ -503,9 +497,7 @@ class Antiderivative1D(_Primitive):
         self.total = float(T[-1, 0] + 2 * T[-1, 1])  # W(hi), where q = (1, 2, 0, ..., 0)
 
     def _eval(self, x: np.ndarray) -> np.ndarray:
-        # T[i] . (1, Q(xi)), without the copy that building that row costs
-        i, xi = _locate(self.b, self.h, x)
-        return self.T[i, 0] + np.einsum("na,na->n", _q_values(xi, self.points), self.T[i, 1:])
+        return _rows(self.T, self.b, self.h, x, self.points)
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)

@@ -199,6 +199,32 @@ class TestExitCodes:
         assert not out
         assert f"kernel {kernel!r} takes a one-variable profile" in err
 
+    @pytest.mark.parametrize("check", ["hardy", "steffensen"])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_exits_two(self, check, trials):
+        # zero trials used to pass vacuously (steffensen: min_sum null)
+        code, out, err = invoke(["verify", check, "--p", "3", "--q", "3", "--trials", trials])
+        assert code == EXIT_USAGE
+        assert not out
+        assert "--trials" in err
+
+    def test_single_steffensen_ignores_trials(self):
+        code, doc = invoke_json(["verify", "steffensen", "--a", "[[1,0],[0,1]]",
+                                 "--u", "[[1,0],[0,1]]", "--trials", "0"])
+        assert code == EXIT_PASS
+        assert doc["diagnostics"]["mode"] == "single"
+
+    @pytest.mark.parametrize("command", [
+        ["copula", "validate", "--f", "x*y"],
+        ["copula", "archimedean", "--phi", "-log(t)", "--eval", "0.5,0.5"],
+    ], ids=["validate", "archimedean"])
+    @pytest.mark.parametrize("grid", ["0", "-1"])
+    def test_empty_copula_grid_exits_two(self, command, grid):
+        code, out, err = invoke([*command, "--grid", grid])
+        assert code == EXIT_USAGE
+        assert not out
+        assert "grid must be >= 1" in err
+
     def test_double_dash_value_exits_two(self):
         code, out, err = invoke(["stieltjes", "--h", "x", "--f", "--", "--rect", "0,1,0,1"])
         assert code == EXIT_USAGE

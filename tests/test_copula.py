@@ -86,3 +86,8 @@ class TestValidateCopula:
         assert rep.tol == 1e-10
         d = rep.to_dict()
         assert set(d) >= {"boundary_max_error", "min_cell_measure", "pass"}
+
+    @pytest.mark.parametrize("grid", [0, -1])
+    def test_empty_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="grid must be >= 1"):
+            validate_copula("x*y", grid=grid)

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steff2d.expr import (
@@ -252,8 +252,24 @@ def test_round_trip_is_structural_for_parsed_sources():
         assert parse(to_string(ast)) == ast
 
 
+def test_non_finite_constants_render_as_readable_literals():
+    # a literal past the double range parses to an infinity; rendering it
+    # as "inf" made the text unparseable and the compiled code a NameError
+    for src in ["1e310", "-1e310", "x^1e310", "-1e310*y", "1e310 - 1e310"]:
+        ast = parse(src)
+        assert parse(to_string(ast)) == ast
+    f = BivariateFn.from_expression("1e310*x + y")
+    vals = f(np.array([1.0, -1.0]), np.array([0.0, 1.0]))
+    assert list(vals) == [math.inf, -math.inf]
+    # constant folding can make NaN, which has no literal of its own
+    nan = Bin("*", Num(math.nan), Var("x"))
+    assert math.isnan(evaluate(parse(to_string(nan)), 1.0, 0.0))
+    assert math.isnan(BivariateFn.from_ast(nan)(1.0, 0.0))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet="xyst0123456789+-*/^(), .abcdefgilmnopqrx", max_size=40))
+@example("1e310")
 def test_parser_total_on_arbitrary_text(text):
     # Either a valid AST or a ParseError; nothing else escapes.
     try:

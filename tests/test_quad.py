@@ -202,6 +202,43 @@ class TestPrimitiveExactness:
             assert np.max(np.abs(got - expect)) <= 1e-13 * max(1.0, np.max(np.abs(expect)))
 
 
+class TestAntiderivativeReadout:
+    """Antiderivative1D at every input shape equals T[i, 0] + Q(xi) . T[i, 1:]
+    of its cell i, and is exactly zero at lo."""
+
+    @pytest.fixture
+    def G(self):
+        spec = QuadratureSpec().with_breaks(breaks_x=(-0.9, 0.3, 0.35))
+        G = Antiderivative1D("exp(-t)*cos(3*t) + t", -1.0, 2.0, spec)
+        assert np.ptp(G.h) > 0.1
+        return G
+
+    @staticmethod
+    def reference(G, t):
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(G.b, t, side="right") - 1, 0, G.h.size - 1)
+        xi = np.clip(2.0 * (t - G.b[i]) / G.h[i] - 1.0, -1.0, 1.0)
+        return G.T[i, 0] + np.sum(_q_values(xi, G.points) * G.T[i, 1:], axis=-1)
+
+    def test_every_input_shape(self, G, rng):
+        big = rng.uniform(G.lo, G.hi, 3 * (1 << 16) + 5)  # several blocks of 1 << 16
+        for t in [0.31, np.float64(-0.2), np.array(1.7), np.array([]),
+                  rng.uniform(G.lo, G.hi, (40, 1)), big]:
+            got = G(t)
+            expect = self.reference(G, t)
+            assert np.shape(got) == np.shape(t)
+            scale = max(1.0, float(np.max(np.abs(G.T))))
+            assert np.max(np.abs(got - expect), initial=0.0) <= 1e-14 * scale
+        assert isinstance(G(0.31), float) and isinstance(G(np.array(1.7)), float)
+
+    def test_exactly_zero_at_lo(self, G, rng):
+        big = rng.uniform(G.lo, G.hi, 3 * (1 << 16) + 5)
+        big[[0, 1 << 16, 2 * (1 << 16) + 7]] = G.lo
+        assert G(G.lo) == 0.0 and G(np.array(G.lo)) == 0.0
+        assert np.all(G(np.full((5, 1), G.lo)) == 0.0)
+        assert np.all(G(big)[[0, 1 << 16, 2 * (1 << 16) + 7]] == 0.0)
+
+
 def assert_lattice_matches_pointwise(fn, xs, ys):
     """fn on the outer product xs x ys agrees with fn at the meshgrid points."""
     lattice = fn(xs[:, None], ys[None, :])
