@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .copula import InvalidGeneratorError, archimedean, validate_copula
-from .core import ConvergenceError, NumericDomainError, Rect
+from .core import ConvergenceError, NumericDomainError, Rect, _sample
 from .discrete import (
     DoubleSequence,
     hardy_residual,
@@ -331,7 +331,7 @@ def _run_mollify(args):
     mass, mass_err = integrate2d(moll, moll.support, spec)
     g = mollify(_function_arg(args.f), rect, args.n, spec)
     x, y = _parse_point(args.eval_point)
-    value = g(x, y)
+    value = float(_sample(g, "mollified value", x, y))
     passed = abs(mass - 1.0) <= 1e-6
     return (
         {"value": value, "point": [x, y], "mollifier_mass": mass,

@@ -8,6 +8,10 @@ A generator is a continuous, strictly decreasing, convex map phi on
 with the pseudo-inverse convention that arguments at or beyond phi(0+)
 map to 0.  Inversion is done by bisection on [0, 1], which works for any
 valid generator expression; closed-form inverses serve as test oracles.
+
+validate_copula samples a candidate once, on a lattice over the unit
+square: the boundary conditions are read from the lattice's edges and
+2d-monotonicity from its cell measures.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .core import NumericDomainError, Record, _delta
-from .expr import BivariateFn, UnivariateFn, as_univariate
+from .core import Record, _delta, _sample
+from .expr import BivariateFn, UnivariateFn, as_bivariate, as_univariate
 
 __all__ = [
     "InvalidGeneratorError",
@@ -144,47 +148,32 @@ class CopulaReport(Record):
     _renames = {"passed": "pass"}
 
 
+# the boundary conditions, in the order that breaks ties
+_BOUNDARY = ("C(x,0)=0", "C(0,y)=0", "C(x,1)=x", "C(1,y)=y")
+
+
 def validate_copula(C, grid: int = 64, tol: float = 1e-9) -> CopulaReport:
     """Check the boundary conditions and 2-increasing property on a grid.
 
-    Boundary conditions: C(x,0) = 0, C(0,y) = 0, C(x,1) = x, C(1,y) = y
-    at grid+1 points each; 2d-monotonicity via the cell measures of a
-    grid x grid lattice on the unit square.
+    C is sampled once, on the (grid+1) x (grid+1) lattice over the unit
+    square.  Boundary conditions: C(x,0) = 0, C(0,y) = 0, C(x,1) = x,
+    C(1,y) = y at the grid+1 lattice points of each edge; the witness is
+    the lattice point of the largest error, the first condition winning
+    ties.  2d-monotonicity via the cell measures of the lattice.
     """
-    from .expr import as_bivariate
-
     if grid < 1:
         raise ValueError("grid must be >= 1")
-    C = as_bivariate(C)
-    ts = np.linspace(0.0, 1.0, grid + 1)
-    zeros = np.zeros_like(ts)
-    ones = np.ones_like(ts)
-    conditions = {
-        "C(x,0)=0": np.abs(C(ts, zeros)),
-        "C(0,y)=0": np.abs(C(zeros, ts)),
-        "C(x,1)=x": np.abs(C(ts, ones) - ts),
-        "C(1,y)=y": np.abs(C(ones, ts) - ts),
-    }
-    worst_cond, worst_idx, worst_err = "", 0, -1.0
-    for cond, errs in conditions.items():
-        if not np.all(np.isfinite(errs)):
-            raise NumericDomainError(f"candidate copula undefined on boundary ({cond})")
-        i = int(np.argmax(errs))
-        if float(errs[i]) > worst_err:
-            worst_cond, worst_idx, worst_err = cond, i, float(errs[i])
-    if "x," in worst_cond:
-        witness = (float(ts[worst_idx]), 0.0 if "0" in worst_cond else 1.0)
-    else:
-        witness = (0.0 if "0" in worst_cond else 1.0, float(ts[worst_idx]))
-
-    V = C(ts[:, None], ts[None, :])
-    if not np.all(np.isfinite(V)):
-        raise NumericDomainError("candidate copula undefined on the unit square")
+    ts = np.linspace(0.0, 1.0, grid + 1)  # ts[0] == 0 and ts[-1] == 1 exactly
+    V = _sample(as_bivariate(C), "candidate copula", ts[:, None], ts[None, :])
+    errs = np.abs([V[:, 0], V[0, :], V[:, -1] - ts, V[-1, :] - ts])
+    k, i = np.unravel_index(np.argmax(errs), errs.shape)
+    ix, iy = ((i, 0), (0, i), (i, -1), (-1, i))[k]
+    worst_err = float(errs[k, i])
     min_cell = float(_delta(V).min())
     return CopulaReport(
         boundary_max_error=worst_err,
-        boundary_witness_condition=worst_cond,
-        boundary_witness_point=witness,
+        boundary_witness_condition=_BOUNDARY[k],
+        boundary_witness_point=(float(ts[ix]), float(ts[iy])),
         min_cell_measure=min_cell,
         grid=grid,
         tol=tol,

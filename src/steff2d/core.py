@@ -1,6 +1,8 @@
 """Shared geometry, result, and error types, the JSON form of every result
-record, and the lattice kernel (mixed difference and its inverse, the
-rectangular prefix sum) used across the package."""
+record, the lattice kernel (mixed difference and its inverse, the
+rectangular prefix sum) used across the package, and the sampler
+(``_sample``) through which the checks read function values: a
+non-finite sample raises NumericDomainError naming the point."""
 
 from __future__ import annotations
 
@@ -105,6 +107,20 @@ class Rect(Record):
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
+
+
+def _sample(fn, what: str, *coords) -> np.ndarray:
+    """fn(*coords) as a float array, with NumericDomainError when any value
+    is NaN or infinite.  The message names the first such point of the
+    broadcast coordinates, in row-major order."""
+    with np.errstate(all="ignore"):
+        F = np.asarray(fn(*coords), dtype=float)
+    if not np.isfinite(F).all():
+        *grids, F = np.broadcast_arrays(*coords, F)
+        k = np.flatnonzero(~np.isfinite(F))[0]
+        point = ", ".join(repr(float(g.flat[k])) for g in grids)
+        raise NumericDomainError(f"{what} is not finite at ({point})")
+    return F
 
 
 def _delta(V: np.ndarray) -> np.ndarray:

@@ -16,12 +16,12 @@ hypotheses is not a bug signal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .core import IdentityResidual, Record, Rect
+from .core import IdentityResidual, Record, Rect, _sample
 from .expr import Bin, BivariateFn, Call, UnivariateFn, Var, as_bivariate, as_univariate
 from .monotone import (
     ALTERNATING_2D,
@@ -30,6 +30,7 @@ from .monotone import (
     MONOTONE_2D,
     AcFunction,
     MonotonicityReport,
+    _classify,
     certify,
 )
 from .quad import (
@@ -171,10 +172,18 @@ def _edge_increasing(f, er: Rect, grid: int, tol: float) -> tuple[bool, bool]:
     )
 
 
+# theorem -> (orientation of the primitive, sign of the reported orientation)
+_THEOREMS = {"thm3": ("lower", 1.0), "thm4": ("upper", 1.0), "remark3": ("lower", -1.0)}
+
+
 def steffensen_integral(theorem: str, f, w, rect: Rect, grid: int = 32,
                         spec: Optional[QuadratureSpec] = None,
                         margin: float = 0.0, tol: float = 1e-9) -> TheoremReport:
     """Evaluate one of the three integral sign inequalities.
+
+    All three are one inequality, int f w >= f(x0, y0) P(x0, y0) - tol,
+    with P the primitive of w from the corner (x0, y0); they differ in the
+    hypotheses that make it hold:
 
     thm3:    f 2d-monotone with decreasing top/right edges, primitive
              W >= 0 from the lower-left corner; then int f w >= f(b,d) W(b,d).
@@ -184,8 +193,9 @@ def steffensen_integral(theorem: str, f, w, rect: Rect, grid: int = 32,
              reported in the negated orientation
              int f(-w) <= f(b,d) (-W(b,d)) + tol.
     """
-    if theorem not in ("thm3", "thm4", "remark3"):
+    if theorem not in _THEOREMS:
         raise ValueError("theorem must be 'thm3', 'thm4', or 'remark3'")
+    orientation, sign = _THEOREMS[theorem]
     spec = spec or DEFAULT_SPEC
     f = as_bivariate(f)
     w = as_bivariate(w)
@@ -194,43 +204,28 @@ def steffensen_integral(theorem: str, f, w, rect: Rect, grid: int = 32,
 
     report = certify(f, r, grid=grid, tol=tol)
     lhs_fw = integrate2d(lambda x, y: f(x, y) * w(x, y), r, spec).value
+    P = cumulative(w, r, orientation, spec)
+    extr = P.lattice_extrema(grid)
+    x0, y0 = (a, c) if orientation == "upper" else (b, d)
+    corner = float(f(x0, y0)) * P(x0, y0)
 
-    if theorem == "thm4":
-        P = cumulative(w, r, "upper", spec)
-        extr = P.lattice_extrema(grid)
-        primitive_ok = extr.minimum >= -tol
-        corner = float(f(a, c)) * P(a, c)
-        lhs, bound = lhs_fw, corner
-        holds = lhs >= bound - tol
-        mono_ok = report.min_measure >= -tol
+    # nonnegative for thm3/thm4, nonpositive for remark3
+    primitive_ok = extr.minimum >= -tol if sign > 0 else extr.maximum <= tol
+    mono_ok = report.min_measure >= -tol if sign > 0 else report.max_measure <= tol
+    if theorem == "thm3":
+        edge_ok = report.edge_top_decreasing and report.edge_right_decreasing
+    elif theorem == "thm4":
         edge_ok = report.edge_bottom_increasing and report.edge_left_increasing
-        hyp = mono_ok and edge_ok and primitive_ok and report.nonnegative
     else:
-        P = cumulative(w, r, "lower", spec)
-        extr = P.lattice_extrema(grid)
-        corner = float(f(b, d)) * P(b, d)
-        if theorem == "thm3":
-            primitive_ok = extr.minimum >= -tol
-            lhs, bound = lhs_fw, corner
-            holds = lhs >= bound - tol
-            mono_ok = report.min_measure >= -tol
-            edge_ok = report.edge_top_decreasing and report.edge_right_decreasing
-            hyp = mono_ok and edge_ok and primitive_ok
-        else:
-            primitive_ok = extr.maximum <= tol
-            lhs, bound = -lhs_fw, -corner
-            holds = lhs <= bound + tol
-            alt_ok = report.max_measure <= tol
-            top_inc, right_inc = _edge_increasing(f, report.eval_rect, grid, tol)
-            edge_ok = top_inc and right_inc
-            hyp = alt_ok and edge_ok and primitive_ok
+        edge_ok = all(_edge_increasing(f, report.eval_rect, grid, tol))
+    hyp = mono_ok and edge_ok and primitive_ok and (theorem != "thm4" or report.nonnegative)
 
     return TheoremReport(
         theorem=theorem,
-        lhs=float(lhs),
-        bound=float(bound),
+        lhs=float(sign * lhs_fw),
+        bound=float(sign * corner),
         tol=tol,
-        inequality_holds=bool(holds),
+        inequality_holds=bool(lhs_fw >= corner - tol),
         monotonicity=report,
         f_nonnegative=report.nonnegative,
         edge_hypothesis=bool(edge_ok),
@@ -294,11 +289,7 @@ def fourier_check(kernel: str, f, m: int = 1, n: int = 1,
                          "bivariate function")
     spec = spec or DEFAULT_SPEC
     two_pi = 2.0 * math.pi
-    osc_cells = max(spec.cells, 2 * max(m, n))
-    spec_osc = QuadratureSpec(
-        cells=osc_cells, points=spec.points, max_refine=spec.max_refine,
-        tol=spec.tol, max_cells=spec.max_cells,
-    )
+    spec_osc = replace(spec, cells=max(spec.cells, 2 * max(m, n)))
 
     profile_monotone = profile_convex = None
     if kernel == "sinsin2d":
@@ -370,7 +361,6 @@ def byparts_residual(f, g: AcFunction, rect: Rect,
     f = _require_symbolic(f, "byparts_residual")
     if not isinstance(g, AcFunction):
         raise TypeError("g must be built via from_ac so its mixed density is known")
-    a, b, c, d = rect.as_tuple()
 
     if g.density is not None:
         lhs = integrate2d(lambda x, y: f(x, y) * g.density(x, y), rect, spec).value
@@ -380,9 +370,8 @@ def byparts_residual(f, g: AcFunction, rect: Rect,
     stj = stieltjes2d(g, f, rect, partition=partition, tol=spec.tol, doublings=doublings)
     rhs = corner + edge_x + edge_y + stj.value
 
-    xs, ys = rect.xs(64), rect.ys(64)
-    left_edge = np.max(np.abs(g(np.full_like(ys, a), ys)))
-    bottom_edge = np.max(np.abs(g(xs, np.full_like(xs, c))))
+    left_edge = np.max(np.abs(g(rect.a, rect.ys(64))))
+    bottom_edge = np.max(np.abs(g(rect.xs(64), rect.c)))
     return BypartsResult(
         residual=IdentityResidual.from_pair(lhs, rhs, tolerance),
         corner_term=float(corner),
@@ -453,6 +442,10 @@ class Lemma1Report(Record):
     tol: float
 
 
+_MIXED_SIGN = {MONOTONE_2D: "nonnegative", ALTERNATING_2D: "nonpositive", MODULAR: "zero",
+               INDEFINITE: "indefinite"}
+
+
 def lemma1_check(f, rect: Rect, grid: int = 32, tol: float = 1e-9) -> Lemma1Report:
     """Compare the grid verdict with the sign of the symbolic mixed partial.
 
@@ -465,30 +458,15 @@ def lemma1_check(f, rect: Rect, grid: int = 32, tol: float = 1e-9) -> Lemma1Repo
     fxy = f.mixed_partial()
     er = report.eval_rect
     xs, ys = er.xs(grid)[1:-1], er.ys(grid)[1:-1]
-    M = np.asarray(fxy(xs[:, None], ys[None, :]))
+    M = _sample(fxy, "mixed partial", xs[:, None], ys[None, :])
     mixed_min, mixed_max = float(M.min()), float(M.max())
-    nonneg = mixed_min >= -tol
-    nonpos = mixed_max <= tol
-    if nonneg and nonpos:
-        sign = "zero"
-    elif nonneg:
-        sign = "nonnegative"
-    elif nonpos:
-        sign = "nonpositive"
-    else:
-        sign = "indefinite"
-    consistent = {
-        MONOTONE_2D: "nonnegative",
-        ALTERNATING_2D: "nonpositive",
-        MODULAR: "zero",
-        INDEFINITE: "indefinite",
-    }[report.verdict] == sign
+    mixed = _classify(mixed_min, mixed_max, tol)
     return Lemma1Report(
         verdict=report.verdict,
         mixed_min=mixed_min,
         mixed_max=mixed_max,
-        mixed_sign=sign,
-        consistent=bool(consistent),
+        mixed_sign=_MIXED_SIGN[mixed],
+        consistent=mixed == report.verdict,
         grid=grid,
         tol=tol,
     )

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import NumericDomainError, Record, Rect, _delta
+from .core import Record, Rect, _delta, _sample
 from .expr import (
     Bin,
     BivariateFn,
@@ -52,12 +52,23 @@ MODULAR = "modular"
 INDEFINITE = "indefinite"
 
 
+def _classify(lo: float, hi: float, tol: float) -> str:
+    """Sign class of values ranging over [lo, hi]: monotone2d when all are
+    >= -tol, alternating2d when all are <= tol, modular when both hold, and
+    indefinite otherwise."""
+    nonneg, nonpos = lo >= -tol, hi <= tol
+    if nonneg and nonpos:
+        return MODULAR
+    if nonneg:
+        return MONOTONE_2D
+    if nonpos:
+        return ALTERNATING_2D
+    return INDEFINITE
+
+
 def f_measure(f, r: Rect) -> float:
     """Corner alternating sum f(a,c) - f(a,d) - f(b,c) + f(b,d)."""
-    f = as_bivariate(f)
-    corners = f(np.array([[r.a], [r.b]]), np.array([[r.c, r.d]]))
-    if not np.all(np.isfinite(corners)):
-        raise NumericDomainError(f"f undefined at a corner of {r}")
+    corners = _sample(as_bivariate(f), "f", np.array([[r.a], [r.b]]), np.array([[r.c, r.d]]))
     return float(_delta(corners)[0, 0])
 
 
@@ -117,11 +128,7 @@ def certify(f, domain: Rect, grid: int = 32, tol: float = 1e-9,
         margin = 1e-6 * domain.diameter
     eval_rect = domain.shrink(margin)
     xs, ys = eval_rect.xs(grid), eval_rect.ys(grid)
-    V = f(xs[:, None], ys[None, :])
-    if not np.all(np.isfinite(V)):
-        i, j = np.argwhere(~np.isfinite(V))[0]
-        raise NumericDomainError(f"f undefined at lattice point ({xs[i]}, {ys[j]})")
-
+    V = _sample(f, "f", xs[:, None], ys[None, :])
     cells = _delta(V)
     imin = np.unravel_index(np.argmin(cells), cells.shape)
     imax = np.unravel_index(np.argmax(cells), cells.shape)
@@ -132,23 +139,12 @@ def certify(f, domain: Rect, grid: int = 32, tol: float = 1e-9,
         i, j = idx
         return Rect(float(xs[i]), float(xs[i + 1]), float(ys[j]), float(ys[j + 1]))
 
-    nonneg_ok = min_measure >= -tol
-    nonpos_ok = max_measure <= tol
-    if nonneg_ok and nonpos_ok:
-        verdict = MODULAR
-    elif nonneg_ok:
-        verdict = MONOTONE_2D
-    elif nonpos_ok:
-        verdict = ALTERNATING_2D
-    else:
-        verdict = INDEFINITE
-
     top = V[:, -1]
     bottom = V[:, 0]
     right = V[-1, :]
     left = V[0, :]
     return MonotonicityReport(
-        verdict=verdict,
+        verdict=_classify(min_measure, max_measure, tol),
         min_measure=min_measure,
         max_measure=max_measure,
         min_witness=cell_rect(imin),

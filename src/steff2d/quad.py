@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import ConvergenceError, IdentityResidual, NumericDomainError, Record, Rect, _delta
+from .core import ConvergenceError, IdentityResidual, Record, Rect, _delta, _sample
 from .expr import BivariateFn, as_bivariate, as_univariate
 
 __all__ = [
@@ -150,14 +150,6 @@ def _nodes(lo: np.ndarray, hi: np.ndarray, points: int) -> tuple[np.ndarray, np.
     mid = 0.5 * (lo + hi)
     rad = 0.5 * (hi - lo)
     return mid[:, None] + rad[:, None] * g[None, :], rad
-
-
-def _sample(fn: Callable, what: str, *coords) -> np.ndarray:
-    with np.errstate(all="ignore"):
-        F = np.asarray(fn(*coords), dtype=float)
-    if not np.all(np.isfinite(F)):
-        raise NumericDomainError(f"{what} produced a non-finite value inside the domain")
-    return F
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,19 @@ class TestExitCodes:
         assert not out
         assert "grid must be >= 1" in err
 
+    @pytest.mark.parametrize("command, quantity", [
+        # f_xy = x/sqrt(x^2) is 0/0 on the x = 0 lattice column
+        (["verify", "lemma1", "--f", "y*sqrt(x^2)", "--rect", "-1,1,-1,1"], "mixed partial"),
+        (["mollify", "--f", "log(x-0.5)", "--rect", "0,1,0,1", "--n", "4",
+          "--eval", "0.2,0.2"], "mollified value"),
+    ], ids=["lemma1", "mollify"])
+    def test_nonfinite_sample_exits_three(self, command, quantity):
+        # both used to exit 0 with pass: true and a null result
+        code, out, err = invoke(command)
+        assert code == EXIT_NUMERIC
+        assert not out
+        assert f"{quantity} is not finite at (" in err
+
     def test_double_dash_value_exits_two(self):
         code, out, err = invoke(["stieltjes", "--h", "x", "--f", "--", "--rect", "0,1,0,1"])
         assert code == EXIT_USAGE

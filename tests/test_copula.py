@@ -87,6 +87,31 @@ class TestValidateCopula:
         d = rep.to_dict()
         assert set(d) >= {"boundary_max_error", "min_cell_measure", "pass"}
 
+    @pytest.mark.parametrize("candidate, condition, point", [
+        # p(t) = t*(1-t)^2 peaks at t = 1/3, which is ts[2] at grid 6
+        ("x*y + x*(1-x)^2*(1-y)", "C(x,0)=0", (1 / 3, 0.0)),
+        ("x*y + y*(1-y)^2*(1-x)", "C(0,y)=0", (0.0, 1 / 3)),
+        ("x*y + x*(1-x)^2*y", "C(x,1)=x", (1 / 3, 1.0)),
+        ("x*y + y*(1-y)^2*x", "C(1,y)=y", (1.0, 1 / 3)),
+    ])
+    def test_boundary_witness_on_each_edge(self, candidate, condition, point):
+        rep = validate_copula(candidate, grid=6)
+        assert rep.boundary_witness_condition == condition
+        assert rep.boundary_witness_point == pytest.approx(point, abs=1e-15)
+        assert rep.boundary_max_error == pytest.approx(4 / 27, rel=1e-14)
+
+    @pytest.mark.parametrize("candidate, condition, point", [
+        ("x + y", "C(x,0)=0", (1.0, 0.0)),
+        ("x*y + 0.5*(1-x)*y", "C(0,y)=0", (0.0, 1.0)),
+        ("x*y + 0.5*x*(1-y)", "C(x,0)=0", (1.0, 0.0)),
+        ("x*y + 0.5*x*y", "C(x,1)=x", (1.0, 1.0)),
+    ])
+    def test_shared_corners_go_to_the_first_condition(self, candidate, condition, point):
+        # at grid 1 every boundary point is a corner shared by two conditions
+        rep = validate_copula(candidate, grid=1)
+        assert rep.boundary_witness_condition == condition
+        assert rep.boundary_witness_point == point
+
     @pytest.mark.parametrize("grid", [0, -1])
     def test_empty_grid_rejected(self, grid):
         with pytest.raises(ValueError, match="grid must be >= 1"):

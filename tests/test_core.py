@@ -1,14 +1,20 @@
-"""Lattice kernel (mixed difference, prefix sums) and identity residual tests."""
+"""Lattice kernel (mixed difference, prefix sums), domain-checked sampler and
+identity residual tests."""
 
 import math
+import re
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from steff2d.core import IdentityResidual, Rect, _delta, _prefix_sums
-from steff2d.expr import as_bivariate
-from steff2d.monotone import f_measure
+from steff2d.copula import validate_copula
+from steff2d.core import IdentityResidual, NumericDomainError, Rect, _delta, _prefix_sums
+from steff2d.expr import as_bivariate, as_univariate
+from steff2d.ineq import lemma1_check
+from steff2d.monotone import certify, f_measure
+from steff2d.quad import Antiderivative1D, cumulative, integrate1d, integrate2d, stieltjes2d
 
 
 class TestLatticeKernel:
@@ -35,6 +41,54 @@ class TestLatticeKernel:
         U = rng.uniform(-1, 1, size=(9, 13))
         direct = np.array([[U[:i + 1, :j + 1].sum() for j in range(13)] for i in range(9)])
         assert np.allclose(_prefix_sums(U), direct, rtol=0, atol=1e-13)
+
+
+UNIT = Rect(0, 1, 0, 1)
+LOG_X = "log(x - 0.5)"  # NaN left of x = 0.5
+
+# Every site that samples through core._sample: the call, and the function
+# whose value at the named point must be non-finite.
+SAMPLE_SITES = {
+    "integrate1d": (lambda: integrate1d("log(t - 0.5)", 0, 1), as_univariate("log(t - 0.5)")),
+    "integrate2d": (lambda: integrate2d(LOG_X, UNIT), as_bivariate(LOG_X)),
+    "cumulative": (lambda: cumulative("log(y - 0.5)", UNIT), as_bivariate("log(y - 0.5)")),
+    "Antiderivative1D": (lambda: Antiderivative1D("log(t - 0.5)", 0, 1),
+                         as_univariate("log(t - 0.5)")),
+    "stieltjes2d integrator": (lambda: stieltjes2d("x*y", LOG_X, UNIT, partition=8),
+                               as_bivariate(LOG_X)),
+    "stieltjes2d integrand": (lambda: stieltjes2d(LOG_X, "x*y", UNIT, partition=8),
+                              as_bivariate(LOG_X)),
+    "certify": (lambda: certify(LOG_X, UNIT, grid=8), as_bivariate(LOG_X)),
+    "f_measure": (lambda: f_measure("log(x)", Rect(-1, 1, 0, 1)), as_bivariate("log(x)")),
+    # NaN on the x = 0 edge only
+    "validate_copula boundary": (lambda: validate_copula("x*y + 0*log(x)", grid=4),
+                                 as_bivariate("x*y + 0*log(x)")),
+    # NaN at the centre (0.5, 0.5) only, an interior lattice point
+    "validate_copula inside": (
+        lambda: validate_copula("x*y + 0*log(abs(x - 0.5) + abs(y - 0.5))", grid=4),
+        as_bivariate("x*y + 0*log(abs(x - 0.5) + abs(y - 0.5))")),
+    # f_xy = x/sqrt(x^2) is 0/0 on the x = 0 column
+    "lemma1_check": (lambda: lemma1_check("y*sqrt(x^2)", Rect(-1, 1, -1, 1)),
+                     as_bivariate("y*sqrt(x^2)").mixed_partial()),
+}
+
+
+@pytest.mark.parametrize("site", SAMPLE_SITES)
+def test_nonfinite_sample_names_its_point(site):
+    call, fn = SAMPLE_SITES[site]
+    with pytest.raises(NumericDomainError) as info:
+        call()
+    m = re.fullmatch(r".+ is not finite at \((.+)\)", str(info.value))
+    assert m, str(info.value)
+    point = [float(v) for v in m.group(1).split(", ")]
+    assert not np.isfinite(fn(*point)), point
+
+
+def test_nonfinite_sample_is_the_first_in_row_major_order():
+    # NaN at lattice points (0, 0.75) and (0.25, 0): row 0 comes first
+    fn = "0*log(abs(x) + abs(y - 0.75)) + 0*log(abs(x - 0.25) + abs(y))"
+    with pytest.raises(NumericDomainError, match=r"^f is not finite at \(0\.0, 0\.75\)$"):
+        certify(fn, UNIT, grid=4, margin=0.0)
 
 
 finite_or_not = st.floats(allow_nan=True, allow_infinity=True)

@@ -112,6 +112,18 @@ class TestSteffensenIntegral:
         assert rep.lhs <= rep.bound + 1e-9
         assert rep.primitive_max <= 1e-9
 
+    @pytest.mark.parametrize("f, lhs, bound, holds", [
+        ("x", 0.5, 1.0, True),
+        ("1 - x", 0.5, 0.0, False),  # f(b, d) = 0 leaves no room for int f(-w) = 1/2
+    ])
+    def test_alternating_inequality_read_in_the_negated_orientation(self, f, lhs, bound,
+                                                                    holds):
+        rep = steffensen_integral("remark3", f, "-1", Rect(0, 1, 0, 1))
+        assert rep.lhs == pytest.approx(lhs, abs=1e-12)
+        assert rep.bound == pytest.approx(bound, abs=1e-12)
+        assert rep.inequality_holds is holds
+        assert rep.primitive_ok
+
     @pytest.mark.parametrize(
         "f,w,rect",
         [
@@ -199,6 +211,14 @@ class TestFourier:
     def test_univariate_integrand_rejected_for_coscos2d(self):
         with pytest.raises(ValueError, match="kernel 'coscos2d' takes a two-variable"):
             fourier_check("coscos2d", UnivariateFn.from_expression("x^2"))
+
+    def test_breaks_of_the_spec_are_kept(self):
+        # floor(u) jumps at 1..6 inside [0, 2pi]; without the breaks the
+        # refinement cannot reach 1e-12 on the jump cells
+        spec = QuadratureSpec(tol=1e-12).with_breaks((1, 2, 3, 4, 5, 6))
+        res = fourier_check("cos1d", "floor(u)", n=1, spec=spec)
+        exact = sum(k * (math.sin(min(k + 1, TWO_PI)) - math.sin(k)) for k in range(7))
+        assert res.value == pytest.approx(exact, abs=1e-12)
 
     def test_kernel_and_indices_validated(self):
         with pytest.raises(ValueError):
