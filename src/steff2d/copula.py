@@ -10,8 +10,8 @@ map to 0.  Inversion is done by bisection on [0, 1], which works for any
 valid generator expression; closed-form inverses serve as test oracles.
 
 validate_copula samples a candidate once, on a lattice over the unit
-square: the boundary conditions are read from the lattice's edges and
-2d-monotonicity from its cell measures.
+square, through core._scan: the boundary conditions are read from the
+lattice's edges and 2d-monotonicity from its cell measures.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .core import Record, _delta, _sample
+from .core import Record, _scan
 from .expr import BivariateFn, UnivariateFn, as_bivariate, as_univariate
 
 __all__ = [
@@ -32,7 +32,9 @@ __all__ = [
 ]
 
 _BISECTION_TOL = 1e-14
-_BISECTION_STEPS = 60
+# hi - lo is exactly 2^-k after k halvings of [0, 1] at every point, so the
+# bracket is within the tolerance after this many sweeps: 47 for 1e-14
+_BISECTION_SWEEPS = math.ceil(math.log2(1.0 / _BISECTION_TOL))
 
 
 class InvalidGeneratorError(ValueError):
@@ -90,15 +92,13 @@ class Generator:
         lo = np.zeros_like(s)
         hi = np.ones_like(s)
         with np.errstate(all="ignore"):
-            for _ in range(_BISECTION_STEPS):
+            for _ in range(_BISECTION_SWEEPS):
                 mid = 0.5 * (lo + hi)
                 vm = np.asarray(self.phi(mid), dtype=float)
                 # phi decreasing: value above target -> root is to the right
                 above = vm > s
                 lo = np.where(above, mid, lo)
                 hi = np.where(above, hi, mid)
-                if float(np.max(hi - lo)) <= _BISECTION_TOL:
-                    break
         out = 0.5 * (lo + hi)
         out[s <= 0.0] = 1.0
         if math.isfinite(self.phi_at_zero):
@@ -156,20 +156,21 @@ def validate_copula(C, grid: int = 64, tol: float = 1e-9) -> CopulaReport:
     """Check the boundary conditions and 2-increasing property on a grid.
 
     C is sampled once, on the (grid+1) x (grid+1) lattice over the unit
-    square.  Boundary conditions: C(x,0) = 0, C(0,y) = 0, C(x,1) = x,
-    C(1,y) = y at the grid+1 lattice points of each edge; the witness is
-    the lattice point of the largest error, the first condition winning
-    ties.  2d-monotonicity via the cell measures of the lattice.
+    square, through core._scan.  Boundary conditions: C(x,0) = 0,
+    C(0,y) = 0, C(x,1) = x, C(1,y) = y at the grid+1 lattice points of each
+    edge; the witness is the lattice point of the largest error, the first
+    condition winning ties.  2d-monotonicity via the cell measures of the
+    lattice.
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
     ts = np.linspace(0.0, 1.0, grid + 1)  # ts[0] == 0 and ts[-1] == 1 exactly
-    V = _sample(as_bivariate(C), "candidate copula", ts[:, None], ts[None, :])
-    errs = np.abs([V[:, 0], V[0, :], V[:, -1] - ts, V[-1, :] - ts])
+    scan = _scan(as_bivariate(C), "candidate copula", ts, ts)
+    errs = np.abs([scan.bottom, scan.left, scan.top - ts, scan.right - ts])
     k, i = np.unravel_index(np.argmax(errs), errs.shape)
     ix, iy = ((i, 0), (0, i), (i, -1), (-1, i))[k]
     worst_err = float(errs[k, i])
-    min_cell = float(_delta(V).min())
+    min_cell = scan.cells.min
     return CopulaReport(
         boundary_max_error=worst_err,
         boundary_witness_condition=_BOUNDARY[k],

@@ -2,7 +2,17 @@
 record, the lattice kernel (mixed difference and its inverse, the
 rectangular prefix sum) used across the package, and the sampler
 (``_sample``) through which the checks read function values: a
-non-finite sample raises NumericDomainError naming the point."""
+non-finite sample raises NumericDomainError naming the point.
+
+``_scan`` is the one pass over a lattice of values that certify,
+lemma1_check and validate_copula read through.  It samples the lattice
+one strip of rows at a time and reduces each strip as it comes: value
+extremes, cell-measure extremes with their first cells in row-major
+order, and the four edges.  A lattice of at most 2^18 values (2 MiB) is
+one strip; a larger one goes in strips of 2^16 values, so that no array
+the size of the lattice is ever made and each strip stays in cache.
+Every lattice point is sampled once, and every value, cell measure and
+witness equals what the whole lattice would give bitwise."""
 
 from __future__ import annotations
 
@@ -134,6 +144,77 @@ def _delta(V: np.ndarray) -> np.ndarray:
     out = V[:-1, :-1] - V[:-1, 1:]
     out -= V[1:, :-1]
     out += V[1:, 1:]
+    return out
+
+
+# A lattice of at most _ONE_STRIP values is scanned whole; a larger one in
+# strips of _STRIP values (whole rows, at least one).
+_ONE_STRIP = 1 << 18
+_STRIP = 1 << 16
+
+
+@dataclass
+class Extremes:
+    """Minimum and maximum of a lattice array, each with the (row, column)
+    of its first occurrence in row-major order, as np.argmin and np.argmax
+    pick them."""
+
+    min: float = math.nan
+    max: float = math.nan
+    argmin: tuple = None
+    argmax: tuple = None
+
+    def add(self, A: np.ndarray, row: int):
+        """Fold in the block A, which holds lattice rows row, row+1, ...
+        Blocks arrive in row order, so a tie keeps the held entry: np.argmin
+        (np.argmax) over (held, new) picks the new one only when it is
+        strictly smaller (larger)."""
+        if A.size == 0:
+            return
+        i, j = np.unravel_index(np.argmin(A), A.shape)
+        if self.argmin is None or np.argmin((self.min, A[i, j])) == 1:
+            self.min, self.argmin = float(A[i, j]), (row + int(i), int(j))
+        i, j = np.unravel_index(np.argmax(A), A.shape)
+        if self.argmax is None or np.argmax((self.max, A[i, j])) == 1:
+            self.max, self.argmax = float(A[i, j]), (row + int(i), int(j))
+
+
+@dataclass
+class Scan:
+    """What _scan reads off the lattice V[i, j] = fn(xs[i], ys[j]): the
+    value and cell-measure extremes, and the edges bottom = V[:, 0],
+    top = V[:, -1], left = V[0, :] and right = V[-1, :]."""
+
+    values: Extremes
+    cells: Extremes
+    bottom: np.ndarray
+    top: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+
+
+def _scan(fn, what: str, xs: np.ndarray, ys: np.ndarray, cells: bool = True) -> Scan:
+    """Sample fn on the lattice xs x ys through _sample, one strip of rows
+    at a time, and reduce each strip as it comes.
+
+    The cells on the seam between two strips are the _delta of the earlier
+    strip's last row stacked on the later strip's first row.  With cells
+    false the cell pass is skipped and Scan.cells stays empty.
+    """
+    n, m = xs.size, ys.size
+    rows = n if n * m <= _ONE_STRIP else max(1, _STRIP // m)
+    out = Scan(Extremes(), Extremes(), np.empty(n), np.empty(n), None, None)
+    for r in range(0, n, rows):
+        V = _sample(fn, what, xs[r:r + rows, None], ys[None, :])
+        out.values.add(V, r)
+        if cells:
+            if r:  # out.right still holds the previous strip's last row
+                out.cells.add(_delta(np.stack((out.right, V[0]))), r - 1)
+            out.cells.add(_delta(V), r)
+        out.bottom[r:r + rows], out.top[r:r + rows] = V[:, 0], V[:, -1]
+        if r == 0:
+            out.left = V[0].copy()
+        out.right = V[-1].copy()
     return out
 
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import IdentityResidual, Record, Rect, _sample
+from .core import IdentityResidual, Record, Rect, _sample, _scan
 from .expr import Bin, BivariateFn, Call, UnivariateFn, Var, as_bivariate, as_univariate
 from .monotone import (
     ALTERNATING_2D,
@@ -30,6 +30,7 @@ from .monotone import (
     MONOTONE_2D,
     AcFunction,
     MonotonicityReport,
+    _certify,
     _classify,
     certify,
 )
@@ -72,7 +73,7 @@ def _boundary_terms(f, G, rect: Rect, spec: QuadratureSpec, upper: bool = False)
     x0, y0, sign = (a, c, 1.0) if upper else (b, d, -1.0)
     fx, fy = f.symbolic_partial("x"), f.symbolic_partial("y")
     spec_y = spec.with_breaks(spec.breaks_y)  # the y-axis edge integral
-    corner = float(f(x0, y0)) * float(G(x0, y0))
+    corner = float(_sample(f, "f", x0, y0)) * float(G(x0, y0))
     edge_x = sign * integrate1d(lambda t: fx(t, y0) * G(t, y0), a, b, spec).value
     edge_y = sign * integrate1d(lambda t: fy(x0, t) * G(x0, t), c, d, spec_y).value
     return corner, edge_x, edge_y
@@ -162,16 +163,6 @@ class TheoremReport(Record):
     hypotheses_hold: bool
 
 
-def _edge_increasing(f, er: Rect, grid: int, tol: float) -> tuple[bool, bool]:
-    """Lattice check that x -> f(x, d) and y -> f(b, y) are nondecreasing."""
-    top = f(er.xs(grid), er.d)
-    right = f(er.b, er.ys(grid))
-    return (
-        bool(np.all(np.diff(top) >= -tol)),
-        bool(np.all(np.diff(right) >= -tol)),
-    )
-
-
 # theorem -> (orientation of the primitive, sign of the reported orientation)
 _THEOREMS = {"thm3": ("lower", 1.0), "thm4": ("upper", 1.0), "remark3": ("lower", -1.0)}
 
@@ -202,12 +193,12 @@ def steffensen_integral(theorem: str, f, w, rect: Rect, grid: int = 32,
     r = rect.shrink(margin) if margin else rect
     a, b, c, d = r.as_tuple()
 
-    report = certify(f, r, grid=grid, tol=tol)
+    report, scan = _certify(f, r, grid=grid, tol=tol)
     lhs_fw = integrate2d(lambda x, y: f(x, y) * w(x, y), r, spec).value
     P = cumulative(w, r, orientation, spec)
     extr = P.lattice_extrema(grid)
     x0, y0 = (a, c) if orientation == "upper" else (b, d)
-    corner = float(f(x0, y0)) * P(x0, y0)
+    corner = float(_sample(f, "f", x0, y0)) * P(x0, y0)
 
     # nonnegative for thm3/thm4, nonpositive for remark3
     primitive_ok = extr.minimum >= -tol if sign > 0 else extr.maximum <= tol
@@ -216,8 +207,8 @@ def steffensen_integral(theorem: str, f, w, rect: Rect, grid: int = 32,
         edge_ok = report.edge_top_decreasing and report.edge_right_decreasing
     elif theorem == "thm4":
         edge_ok = report.edge_bottom_increasing and report.edge_left_increasing
-    else:
-        edge_ok = all(_edge_increasing(f, report.eval_rect, grid, tol))
+    else:  # increasing top and right edges, read from the certified lattice
+        edge_ok = bool(np.all(np.diff(scan.top) >= -tol) and np.all(np.diff(scan.right) >= -tol))
     hyp = mono_ok and edge_ok and primitive_ok and (theorem != "thm4" or report.nonnegative)
 
     return TheoremReport(
@@ -455,11 +446,10 @@ def lemma1_check(f, rect: Rect, grid: int = 32, tol: float = 1e-9) -> Lemma1Repo
     """
     f = _require_symbolic(f, "lemma1_check")
     report = certify(f, rect, grid=grid, tol=tol)
-    fxy = f.mixed_partial()
     er = report.eval_rect
     xs, ys = er.xs(grid)[1:-1], er.ys(grid)[1:-1]
-    M = _sample(fxy, "mixed partial", xs[:, None], ys[None, :])
-    mixed_min, mixed_max = float(M.min()), float(M.max())
+    M = _scan(f.mixed_partial(), "mixed partial", xs, ys, cells=False).values
+    mixed_min, mixed_max = M.min, M.max
     mixed = _classify(mixed_min, mixed_max, tol)
     return Lemma1Report(
         verdict=report.verdict,

@@ -6,6 +6,14 @@ nonnegative, and 2d-alternating when every such sum is nonpositive.  By
 additivity, the extreme cell measures of a uniform lattice certify the
 sign for every rectangle with grid-aligned corners, so the verdict here
 is an honest numerical certificate at the recorded resolution.
+
+certify reads the lattice through core._scan, the package's one lattice
+kernel: the lattice is sampled in strips of rows (one strip up to 2^18
+values, strips of 2^16 values beyond), each reduced to its value and
+cell-measure extremes and its share of the four edges as it comes, so
+that a grid-2048 certificate holds about 2 MiB at a time, not a
+lattice-sized array.  The witnesses are the first extreme cells in
+row-major order, as np.argmin and np.argmax pick them.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Record, Rect, _delta, _sample
+from .core import Record, Rect, Scan, _delta, _sample, _scan
 from .expr import (
     Bin,
     BivariateFn,
@@ -121,6 +129,12 @@ def certify(f, domain: Rect, grid: int = 32, tol: float = 1e-9,
     boundary, such as log(x^2+y^2) near the origin, can still be
     certified on the half-open domain they live on.
     """
+    return _certify(f, domain, grid, tol, margin)[0]
+
+
+def _certify(f, domain: Rect, grid: int = 32, tol: float = 1e-9,
+             margin: Optional[float] = None) -> tuple[MonotonicityReport, Scan]:
+    """certify, and the lattice scan its report was read from."""
     if grid < 2:
         raise ValueError("grid must be >= 2")
     f = as_bivariate(f)
@@ -128,38 +142,31 @@ def certify(f, domain: Rect, grid: int = 32, tol: float = 1e-9,
         margin = 1e-6 * domain.diameter
     eval_rect = domain.shrink(margin)
     xs, ys = eval_rect.xs(grid), eval_rect.ys(grid)
-    V = _sample(f, "f", xs[:, None], ys[None, :])
-    cells = _delta(V)
-    imin = np.unravel_index(np.argmin(cells), cells.shape)
-    imax = np.unravel_index(np.argmax(cells), cells.shape)
-    min_measure = float(cells[imin])
-    max_measure = float(cells[imax])
+    scan = _scan(f, "f", xs, ys)
+    cells = scan.cells
 
     def cell_rect(idx):
         i, j = idx
         return Rect(float(xs[i]), float(xs[i + 1]), float(ys[j]), float(ys[j + 1]))
 
-    top = V[:, -1]
-    bottom = V[:, 0]
-    right = V[-1, :]
-    left = V[0, :]
-    return MonotonicityReport(
-        verdict=_classify(min_measure, max_measure, tol),
-        min_measure=min_measure,
-        max_measure=max_measure,
-        min_witness=cell_rect(imin),
-        max_witness=cell_rect(imax),
+    report = MonotonicityReport(
+        verdict=_classify(cells.min, cells.max, tol),
+        min_measure=cells.min,
+        max_measure=cells.max,
+        min_witness=cell_rect(cells.argmin),
+        max_witness=cell_rect(cells.argmax),
         grid=grid,
         tol=tol,
         margin=margin,
         eval_rect=eval_rect,
-        edge_top_decreasing=bool(np.all(np.diff(top) <= tol)),
-        edge_right_decreasing=bool(np.all(np.diff(right) <= tol)),
-        edge_bottom_increasing=bool(np.all(np.diff(bottom) >= -tol)),
-        edge_left_increasing=bool(np.all(np.diff(left) >= -tol)),
-        nonnegative=bool(V.min() >= -tol),
-        f_min=float(V.min()),
+        edge_top_decreasing=bool(np.all(np.diff(scan.top) <= tol)),
+        edge_right_decreasing=bool(np.all(np.diff(scan.right) <= tol)),
+        edge_bottom_increasing=bool(np.all(np.diff(scan.bottom) >= -tol)),
+        edge_left_increasing=bool(np.all(np.diff(scan.left) >= -tol)),
+        nonnegative=bool(scan.values.min >= -tol),
+        f_min=scan.values.min,
     )
+    return report, scan
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,24 @@ class TestExitCodes:
         assert not out
         assert f"{quantity} is not finite at (" in err
 
+    @pytest.mark.parametrize("command, point", [
+        # log 0 at the thm4 corner (a, c); certify's lattice never sees it
+        (["verify", "thm4", "--f", "log(x^2+y^2)", "--w", "1", "--rect", "0,1,0,1"],
+         "(0.0, 0.0)"),
+        # 0*log 0 is NaN at the young2 corner (a, c) and the young1 corner (b, d) only
+        (["verify", "young2", "--f", "x*y+0*log(x^2+y^2)", "--w", "1", "--rect", "0,1,0,1"],
+         "(0.0, 0.0)"),
+        (["verify", "young1", "--f", "x*y+0*log((x-1)^2+(y-1)^2)", "--w", "1",
+          "--rect", "0,1,0,1"], "(1.0, 1.0)"),
+    ], ids=["thm4", "young2", "young1"])
+    def test_nonfinite_corner_exits_three(self, command, point):
+        # thm4 used to exit 0 with bound null (-inf) and inequality_holds true,
+        # young1/young2 to exit 1 with corner_term null
+        code, out, err = invoke(command)
+        assert code == EXIT_NUMERIC
+        assert not out
+        assert err == f"numeric failure: f is not finite at {point}\n"
+
     def test_double_dash_value_exits_two(self):
         code, out, err = invoke(["stieltjes", "--h", "x", "--f", "--", "--rect", "0,1,0,1"])
         assert code == EXIT_USAGE

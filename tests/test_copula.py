@@ -1,5 +1,6 @@
 """Archimedean construction and copula-axiom validation tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -52,6 +53,40 @@ class TestArchimedean:
         assert gen.strictly_decreasing and gen.convex
         gen2 = Generator.from_expression("1 - t")
         assert gen2.phi_at_zero == pytest.approx(1.0)
+
+    # the four Archimedean families of the benchmark, three parameters each
+    BISECTION_GENERATORS = [
+        *(f"(t^(-{a!r}) - 1)/{a!r}" for a in (0.5, 2.0, 5.0)),  # Clayton
+        *(f"(-log(t))^{a!r}" for a in (1.2, 2.0, 4.0)),  # Gumbel
+        *(f"-log((exp(-{a!r}*t) - 1)/(exp(-{a!r}) - 1))" for a in (0.5, 3.0, 10.0)),  # Frank
+        *(f"log((1 - ({a!r})*(1 - t))/t)" for a in (-0.9, 0.0, 0.9)),  # AMH
+    ]
+
+    @pytest.mark.parametrize("phi", BISECTION_GENERATORS)
+    def test_bisection_equals_the_loop_with_a_stop_test(self, phi):
+        # the earlier loop: at most 60 sweeps, stopping once max(hi - lo) <= 1e-14
+        gen = Generator.from_expression(phi)
+        ts = np.linspace(0.0, 1.0, 65)
+        s = np.asarray(gen.phi(ts[:, None]) + gen.phi(ts[None, :]))
+        lo, hi = np.zeros_like(s), np.ones_like(s)
+        with np.errstate(all="ignore"):
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                above = gen.phi(mid) > s
+                lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+                if float(np.max(hi - lo)) <= 1e-14:
+                    break
+        old = 0.5 * (lo + hi)
+        old[s <= 0.0] = 1.0
+        old[s >= gen.phi_at_zero] = 0.0
+        assert gen.inverse(s).tobytes() == old.tobytes()
+
+    def test_bisection_takes_47_phi_points_per_inverted_point(self):
+        gen = Generator.from_expression("-log(t)")
+        seen = []
+        counting = dataclasses.replace(gen, phi=lambda t: seen.append(np.size(t)) or gen.phi(t))
+        counting.inverse(np.linspace(0.0, 5.0, 100))
+        assert sum(seen) == 47 * 100
 
     @pytest.mark.parametrize("phi", ["t", "log(t)", "t - 1", "sqrt(1-t)*0 + t^2 - t"])
     def test_invalid_generators_rejected(self, phi):

@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from conftest import SMOOTH_FAMILY, random_integer_rect, random_positive_smooth
+from steff2d import ineq
 from steff2d.core import Rect
 from steff2d.expr import BivariateFn, UnivariateFn
 from steff2d.ineq import (
@@ -123,6 +125,33 @@ class TestSteffensenIntegral:
         assert rep.bound == pytest.approx(bound, abs=1e-12)
         assert rep.inequality_holds is holds
         assert rep.primitive_ok
+
+    def test_remark3_hypotheses_sample_f_once_per_lattice_point(self, monkeypatch):
+        # the edge hypothesis reads the top and right edges of certify's lattice
+        grid, seen, in_quadrature = 64, [], []
+        f = BivariateFn.from_expression("log(x^2+y^2)")
+
+        def counted(x, y):
+            if not in_quadrature:
+                seen.append(np.broadcast(x, y).size)
+            return f(x, y)
+
+        counting = BivariateFn.from_callable(counted)
+
+        def integrate2d(*args, integrate=ineq.integrate2d, **kwargs):
+            in_quadrature.append(True)
+            try:
+                return integrate(*args, **kwargs)
+            finally:
+                in_quadrature.pop()
+
+        monkeypatch.setattr(ineq, "integrate2d", integrate2d)
+        L = 3 * math.pi / 4
+        rep = steffensen_integral("remark3", counting, "-sin(x+y)", Rect(0, L, 0, L),
+                                  grid=grid, margin=1e-6)
+        assert rep.hypotheses_hold
+        # the lattice, then the corner f(b, d) of the bound
+        assert seen == [(grid + 1) ** 2, 1]
 
     @pytest.mark.parametrize(
         "f,w,rect",
