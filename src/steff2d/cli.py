@@ -318,6 +318,8 @@ def _run_copula(args):
         return rep.to_dict(), rep.passed, {"witness": rep.boundary_witness_condition}
     A = archimedean(args.phi)
     x, y = _parse_point(args.eval_point)
+    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+        raise UsageError(f"--eval point ({x}, {y}) lies outside the unit square [0, 1]^2")
     value = A(x, y)
     rep = validate_copula(A, grid=args.grid, tol=args.tol)
     result = {"value": value, "point": [x, y], "validation": rep.to_dict()}

@@ -170,6 +170,24 @@ class TestExitCodes:
         code, _, err = invoke(["certify", "--f", "x*y", "--rect", "1,0,0,1"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("point", ["1.5,0.5", "-0.2,0.5", "0.5,1.0000001", "0/0,0.5"])
+    def test_archimedean_eval_off_the_unit_square_exits_two(self, point):
+        # A is defined on [0, 1]^2 only; off it phi is NaN, which the bisection
+        # turns into 2^-48, an invented value that would pass
+        code, out, err = invoke(["copula", "archimedean", "--phi", "(-log(t))^2.7",
+                                 "--eval", point, "--grid", "8"])
+        assert code == EXIT_USAGE
+        assert not out
+        assert "outside the unit square" in err
+
+    @pytest.mark.parametrize("point", ["0,0", "0,1", "1,0", "1,1"])
+    def test_archimedean_eval_on_a_corner_of_the_square_passes(self, point):
+        code, doc = invoke_json(["copula", "archimedean", "--phi", "(-log(t))^2.7",
+                                 "--eval", point, "--grid", "8"])
+        assert code == EXIT_PASS
+        x, y = doc["result"]["point"]
+        assert doc["result"]["value"] == pytest.approx(min(x, y), abs=1e-12)
+
     def test_unknown_subcommand_exits_two(self):
         code, _, _ = invoke(["frobnicate"])
         assert code == EXIT_USAGE

@@ -7,6 +7,30 @@ import numpy as np
 import pytest
 
 from steff2d.copula import Generator, InvalidGeneratorError, archimedean, validate_copula
+from steff2d.expr import BivariateFn
+
+
+def _stop_test_inverse(gen, s):
+    """The earlier bisection, kept as the reference: lo and hi carried over
+    at most 60 sweeps, stopping once max(hi - lo) <= 1e-14."""
+    s = np.asarray(s, dtype=float)
+    scalar = s.ndim == 0
+    s = np.atleast_1d(s)
+    lo, hi = np.zeros_like(s), np.ones_like(s)
+    with np.errstate(all="ignore"):
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            above = gen.phi(mid) > s
+            lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+            if float(np.max(hi - lo)) <= 1e-14:
+                break
+    out = 0.5 * (lo + hi)
+    out[s <= 0.0] = 1.0
+    if math.isfinite(gen.phi_at_zero):
+        out[s >= gen.phi_at_zero] = 0.0
+    else:
+        out[np.isinf(s)] = 0.0
+    return float(out[0]) if scalar else out
 
 
 class TestArchimedean:
@@ -64,22 +88,52 @@ class TestArchimedean:
 
     @pytest.mark.parametrize("phi", BISECTION_GENERATORS)
     def test_bisection_equals_the_loop_with_a_stop_test(self, phi):
-        # the earlier loop: at most 60 sweeps, stopping once max(hi - lo) <= 1e-14
         gen = Generator.from_expression(phi)
         ts = np.linspace(0.0, 1.0, 65)
         s = np.asarray(gen.phi(ts[:, None]) + gen.phi(ts[None, :]))
-        lo, hi = np.zeros_like(s), np.ones_like(s)
-        with np.errstate(all="ignore"):
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                above = gen.phi(mid) > s
-                lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
-                if float(np.max(hi - lo)) <= 1e-14:
-                    break
-        old = 0.5 * (lo + hi)
-        old[s <= 0.0] = 1.0
-        old[s >= gen.phi_at_zero] = 0.0
-        assert gen.inverse(s).tobytes() == old.tobytes()
+        assert gen.inverse(s).tobytes() == _stop_test_inverse(gen, s).tobytes()
+
+    # two families with phi(0+) infinite, two with it finite
+    EDGE_GENERATORS = ["(t^(-2.0) - 1)/2.0", "(-log(t))^1.2", "1 - t", "(1 - t)^2"]
+
+    @pytest.mark.parametrize("phi", EDGE_GENERATORS)
+    def test_bisection_equals_the_loop_on_scalars(self, phi):
+        gen = Generator.from_expression(phi)
+        for s in (0.7, np.float64(0.7), np.array(0.7), 0.0, -0.0, math.inf, math.nan, 1e-300):
+            new, old = gen.inverse(s), _stop_test_inverse(gen, s)
+            assert type(new) is float
+            assert np.float64(new).tobytes() == np.float64(old).tobytes(), s
+
+    @pytest.mark.parametrize("phi", EDGE_GENERATORS)
+    def test_bisection_equals_the_loop_on_a_non_square_broadcast(self, phi):
+        gen = Generator.from_expression(phi)
+        s = gen.phi(np.linspace(0.1, 0.9, 3)[:, None]) + gen.phi(np.linspace(0.05, 1.0, 5)[None, :])
+        assert s.shape == (3, 5)
+        new = gen.inverse(s)
+        assert new.shape == (3, 5)
+        assert new.tobytes() == _stop_test_inverse(gen, s).tobytes()
+
+    @pytest.mark.parametrize("phi", EDGE_GENERATORS)
+    def test_bisection_equals_the_loop_on_signed_zeros_infinities_and_nans(self, phi):
+        gen = Generator.from_expression(phi)
+        s = np.array([-0.0, 0.0, math.inf, math.nan, -0.5, 1e-300, 0.3, 0.3, math.nan, -0.0,
+                      1.0, 1.0, -math.inf, 0.0, 2.5, 0.3])
+        assert gen.inverse(s).tobytes() == _stop_test_inverse(gen, s).tobytes()
+
+    @pytest.mark.parametrize("phi", ["(t^(-2.0) - 1)/2.0", "log((1 - (0.9)*(1 - t))/t)"])
+    def test_multi_strip_validation_equals_the_loop_with_a_stop_test(self, phi):
+        # 521^2 lattice points are scanned in five strips
+        gen = Generator.from_expression(phi)
+
+        def reference(x, y):
+            with np.errstate(all="ignore"):
+                s = np.asarray(gen.phi(np.asarray(x, dtype=float)), dtype=float) + np.asarray(
+                    gen.phi(np.asarray(y, dtype=float)), dtype=float)
+            return _stop_test_inverse(gen, s)
+
+        new = validate_copula(archimedean(gen), grid=520)
+        old = validate_copula(BivariateFn.from_callable(reference), grid=520)
+        assert new == old
 
     def test_bisection_takes_47_phi_points_per_inverted_point(self):
         gen = Generator.from_expression("-log(t)")
@@ -87,6 +141,19 @@ class TestArchimedean:
         counting = dataclasses.replace(gen, phi=lambda t: seen.append(np.size(t)) or gen.phi(t))
         counting.inverse(np.linspace(0.0, 5.0, 100))
         assert sum(seen) == 47 * 100
+
+    def test_bisection_takes_47_phi_points_per_distinct_value(self):
+        # phi(x) + phi(y) is symmetric, so the 65^2 lattice holds at most the
+        # 65 * 66 / 2 values of one triangle, and each is bisected once
+        gen = Generator.from_expression("(-log(t))^2.0")
+        ts = np.linspace(0.0, 1.0, 65)
+        s = np.asarray(gen.phi(ts[:, None]) + gen.phi(ts[None, :]))
+        seen = []
+        counting = dataclasses.replace(gen, phi=lambda t: seen.append(np.size(t)) or gen.phi(t))
+        counting.inverse(s)
+        distinct = np.unique(s).size
+        assert distinct < 65 * 66 // 2
+        assert sum(seen) == 47 * distinct
 
     @pytest.mark.parametrize("phi", ["t", "log(t)", "t - 1", "sqrt(1-t)*0 + t^2 - t"])
     def test_invalid_generators_rejected(self, phi):
