@@ -4,16 +4,22 @@ One JSON document (schema: command, inputs, result, pass, diagnostics,
 version) goes to stdout; a one-line human summary goes to stderr.  Exit
 codes: 0 check passed, 1 check evaluated but failed, 2 usage or
 expression error, 3 numeric failure (non-convergent quadrature or a
-domain violation).  Each result record enters the document through its
-to_dict().  Non-finite numbers are written as null, so stdout is strict
-JSON, and the dotted path of each one (for example result.error_estimate)
-is listed under diagnostics.nonfinite; the key is absent when there were
+domain violation).
+
+Every command is one entry of _COMMANDS: its path, such as ("verify",
+"thm3"), the function that runs it, and its flags, each declared once in
+_FLAGS.  The function returns a result record and the diagnostics; the
+record's to_dict() is the document's result and its passed the pass.
+
+Non-finite numbers are written as null, so stdout is strict JSON, and
+the dotted path of each one (for example result.error_estimate) is
+listed under diagnostics.nonfinite; the key is absent when there were
 none.  Warnings raised during a check (for example
 FloorDerivativeWarning, or stieltjes2d's non-monotone integrator) are
 listed once each, in order, under diagnostics.warnings and echoed to
 stderr; the key is absent when there were none.  The argparse tree is
-built once per process, on the first run() call, and reused by every
-later call; each call parses into a fresh namespace.
+built from the table once per process, on the first run() call, and
+reused by every later call; each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -133,12 +140,242 @@ def _jsonable(obj, path: str, nonfinite: list):
     return obj
 
 
-def _add_quad_flags(p: argparse.ArgumentParser):
-    d = DEFAULT_SPEC
-    p.add_argument("--quad-tol", type=float, default=d.tol, help="quadrature tolerance")
-    p.add_argument("--cells", type=int, default=d.cells, help="coarsest cells per axis")
-    p.add_argument("--points", type=int, default=d.points, help="Gauss points per cell per axis")
-    p.add_argument("--max-refine", type=int, default=d.max_refine, help="refinement sweep limit")
+def _function_arg(text: str):
+    """Expression string, or catalog:NAME(...) for a catalog entry."""
+    if text.startswith("catalog:"):
+        try:
+            return catalog(text[len("catalog:"):])
+        except CatalogError as exc:
+            raise UsageError(str(exc)) from exc
+    return text
+
+
+@dataclass(frozen=True)
+class _Summary:
+    """The result of a command that is not one library record: its JSON
+    entries and its verdict."""
+
+    entries: dict
+    passed: bool
+
+    def to_dict(self) -> dict:
+        return self.entries
+
+
+# ---------------------------------------------------------------------------
+# Commands: each returns (record, diagnostics); the record's to_dict() is the
+# document's result and its passed is the document's pass
+# ---------------------------------------------------------------------------
+
+def _run_certify(args):
+    rep = certify(_function_arg(args.f), _parse_rect(args.rect), grid=args.grid, tol=args.tol,
+                  margin=args.margin)
+    return rep, {"verdict": rep.verdict}
+
+
+def _run_integrate(args):
+    bx, by = _parse_breaks(args.breaks)
+    spec = _spec_from(args).with_breaks(bx, by)
+    value, err = integrate2d(_function_arg(args.f), _parse_rect(args.rect), spec)
+    return _Summary({"value": value, "error_estimate": err}, True), {"tolerance": spec.tol}
+
+
+def _run_stieltjes(args):
+    res = stieltjes2d(_function_arg(args.h), _function_arg(args.f), _parse_rect(args.rect),
+                      partition=args.partition, tol=args.quad_tol, doublings=args.doublings)
+    return res, {"bound_checked": res.integrator_monotone}
+
+
+def _run_validate(args):
+    rep = validate_copula(_function_arg(args.f), grid=args.grid, tol=args.tol)
+    return rep, {"witness": rep.boundary_witness_condition}
+
+
+def _run_archimedean(args):
+    A = archimedean(args.phi)
+    x, y = _parse_point(args.eval_point)
+    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+        raise UsageError(f"--eval point ({x}, {y}) lies outside the unit square [0, 1]^2")
+    value = A(x, y)
+    rep = validate_copula(A, grid=args.grid, tol=args.tol)
+    result = {"value": value, "point": [x, y], "validation": rep.to_dict()}
+    return _Summary(result, rep.passed), {"generator": args.phi}
+
+
+def _run_mollify(args):
+    rect = _parse_rect(args.rect)
+    spec = _spec_from(args)
+    moll = make_mollifier(args.n)
+    mass, mass_err = integrate2d(moll, moll.support, spec)
+    g = mollify(_function_arg(args.f), rect, args.n, spec)
+    x, y = _parse_point(args.eval_point)
+    value = float(_sample(g, "mollified value", x, y))
+    result = {"value": value, "point": [x, y], "mollifier_mass": mass,
+              "mass_error_estimate": mass_err, "n": args.n}
+    return _Summary(result, abs(mass - 1.0) <= 1e-6), {"normalization": moll.c}
+
+
+def _trial_mode(args, draw, check, key: str, field: str, worst) -> _Summary:
+    """check(a, u) on --trials pairs from draw(p, q, rng), rng seeded by
+    --seed.  The result reports worst (max or min) of the records' field
+    under key, and it passes when every trial's record passes."""
+    if args.trials < 1:
+        raise UsageError("--trials must be >= 1")
+    rng = np.random.default_rng(args.seed)
+    passed, value = True, None
+    for _ in range(args.trials):
+        rec = check(*draw(args.p, args.q, rng))
+        passed = passed and rec.passed
+        value = getattr(rec, field) if value is None else worst(value, getattr(rec, field))
+    return _Summary({"trials": args.trials, "p": args.p, "q": args.q, key: value}, passed)
+
+
+def _run_hardy(args):
+    summary = _trial_mode(args, random_pair, lambda a, u: hardy_residual(a, u, args.tol),
+                          "max_rel_residual", "rel_residual", max)
+    return summary, {"seed": args.seed}
+
+
+def _run_steffensen(args):
+    if (args.a is None) != (args.u is None):
+        raise UsageError("provide both --a and --u, or neither (trial mode)")
+    if args.a is not None:
+        rep = steffensen_check(_load_matrix(args.a), _load_matrix(args.u), tol=args.tol)
+        return rep, {"mode": "single"}
+
+    def check(a, u):
+        rep = steffensen_check(a, u, tol=args.tol)
+        if not rep.hypotheses_hold:  # such a trial would pass vacuously
+            raise UsageError("constructive generator produced a non-hypothesis pair")
+        return rep
+
+    summary = _trial_mode(args, hypothesis_pair, check, "min_sum", "total", min)
+    return summary, {"seed": args.seed, "mode": "trials"}
+
+
+def _run_young(args):
+    res = young_residual(args.check, _function_arg(args.f), _function_arg(args.w),
+                         _parse_rect(args.rect), spec=_spec_from(args), tolerance=args.tolerance)
+    return res, {"variant": res.variant}
+
+
+def _run_theorem(args):
+    rep = steffensen_integral(args.check, _function_arg(args.f), _function_arg(args.w),
+                              _parse_rect(args.rect), grid=args.grid, spec=_spec_from(args),
+                              margin=args.margin, tol=args.tol)
+    return rep, {"hypotheses_hold": rep.hypotheses_hold}
+
+
+def _run_fourier(args):
+    res = fourier_check(args.kernel, _function_arg(args.f), args.m, args.n,
+                        spec=_spec_from(args))
+    return res, {"expected_sign": res.expected_sign}
+
+
+def _run_byparts(args):
+    rect = _parse_rect(args.rect)
+    g = from_ac(args.g0, rect, g1=args.g1, g2=args.g2, density=args.gdensity,
+                spec=_spec_from(args))
+    res = byparts_residual(_function_arg(args.f), g, rect, spec=_spec_from(args),
+                           tolerance=args.tolerance)
+    return res, {"edge_vanishing": res.edge_vanishing}
+
+
+def _run_corollary(args):
+    res = sum_vs_integral(_function_arg(args.f), _parse_rect(args.rect),
+                          spec=_spec_from(args), tolerance=args.tolerance)
+    return res, {}
+
+
+def _run_lemma1(args):
+    res = lemma1_check(_function_arg(args.f), _parse_rect(args.rect),
+                       grid=args.grid, tol=args.tol)
+    return res, {"verdict": res.verdict}
+
+
+# ---------------------------------------------------------------------------
+# The command table
+# ---------------------------------------------------------------------------
+
+# Every flag once, as its add_argument keywords.  A flag without a type or
+# choices takes a free-form value, such as an expression, which may start with
+# '-' (--phi -log(t)); _merge_value_flags joins the two into --flag=value.
+_FLAGS = {
+    "--f": {"required": True, "help": "expression or catalog:NAME"},
+    "--w": {"required": True},
+    "--h": {"required": True},
+    "--rect": {"required": True},
+    "--breaks": {"help": "e.g. 'x:1,2;y:0.5'"},
+    "--eval": {"dest": "eval_point", "required": True, "help": "x,y"},
+    "--phi": {"required": True, "help": "generator expression in t"},
+    "--a": {"help": "matrix as inline JSON or CSV path"},
+    "--u": {"help": "matrix as inline JSON or CSV path"},
+    "--gdensity": {"help": "mixed density of g"},
+    "--g1": {"help": "x-edge density of g"},
+    "--g2": {"help": "y-edge density of g"},
+    "--g0": {"type": float, "default": 0.0, "help": "g at the lower-left corner"},
+    "--kernel": {"required": True, "choices": ["sinsin2d", "coscos2d", "cos1d", "sin1d"]},
+    "--grid": {"type": int, "default": 32},
+    "--tol": {"type": float, "default": 1e-9},
+    "--tolerance": {"type": float, "default": 1e-6},
+    "--margin": {"type": float, "default": 0.0},
+    "--partition": {"type": int, "default": 64},
+    "--doublings": {"type": int, "default": 4},
+    "--m": {"type": int, "default": 1},
+    "--n": {"type": int, "default": 1},
+    "--p": {"type": int, "default": 5},
+    "--q": {"type": int, "default": 5},
+    "--trials": {"type": int, "default": 100},
+    "--seed": {"type": int, "default": 42},
+    "--quad-tol": {"type": float, "default": DEFAULT_SPEC.tol, "help": "quadrature tolerance"},
+    "--cells": {"type": int, "default": DEFAULT_SPEC.cells, "help": "coarsest cells per axis"},
+    "--points": {"type": int, "default": DEFAULT_SPEC.points,
+                 "help": "Gauss points per cell per axis"},
+    "--max-refine": {"type": int, "default": DEFAULT_SPEC.max_refine,
+                     "help": "refinement sweep limit"},
+}
+_QUAD = ("--quad-tol", "--cells", "--points", "--max-refine")
+_TRIALS = ("--p", "--q", "--trials", "--seed", ("--tol", {"default": 1e-12}))
+_COPULA_GRID = ("--grid", {"default": 64})
+
+# Each first word of a command: its help, and for a group of commands the
+# dest of their second word.
+_TOP_LEVEL = {
+    "certify": ("classify a function's 2d-monotonicity on a grid", None),
+    "integrate": ("tensor Gauss-Legendre double integral", None),
+    "stieltjes": ("Riemann-Stieltjes sum of h against df", None),
+    "copula": ("copula construction and validation", "copula_command"),
+    "mollify": ("evaluate a mollified function", None),
+    "verify": ("identity and inequality checks", "check"),
+}
+
+# Each command: the function that runs it and its flags, in order.  A flag is
+# its name, or (name, keywords) where the command needs other keywords.
+_THEOREM = (_run_theorem, ("--f", "--w", "--rect", "--grid", "--margin", "--tol", *_QUAD))
+_YOUNG = (_run_young, ("--f", "--w", "--rect", "--tolerance", *_QUAD))
+_COMMANDS = {
+    ("certify",): (_run_certify, ("--f", "--rect", "--grid", "--tol",
+                                  ("--margin", {"default": None}))),
+    ("integrate",): (_run_integrate, ("--f", "--rect", "--breaks", *_QUAD)),
+    ("stieltjes",): (_run_stieltjes, ("--h", "--f", "--rect", "--partition", "--doublings",
+                                      "--quad-tol")),
+    ("copula", "validate"): (_run_validate, ("--f", _COPULA_GRID, "--tol")),
+    ("copula", "archimedean"): (_run_archimedean, ("--phi", "--eval", _COPULA_GRID, "--tol")),
+    ("mollify",): (_run_mollify, ("--f", "--rect", ("--n", {"required": True, "default": None}),
+                                  "--eval", *_QUAD)),
+    ("verify", "hardy"): (_run_hardy, _TRIALS),
+    ("verify", "steffensen"): (_run_steffensen, ("--a", "--u", *_TRIALS)),
+    ("verify", "young1"): _YOUNG,
+    ("verify", "young2"): _YOUNG,
+    ("verify", "thm3"): _THEOREM,
+    ("verify", "thm4"): _THEOREM,
+    ("verify", "remark3"): _THEOREM,
+    ("verify", "fourier"): (_run_fourier, ("--kernel", "--f", "--m", "--n", *_QUAD)),
+    ("verify", "byparts"): (_run_byparts, ("--f", "--gdensity", "--g1", "--g2", "--g0", "--rect",
+                                          "--tolerance", *_QUAD)),
+    ("verify", "corollary"): (_run_corollary, ("--f", "--rect", "--tolerance", *_QUAD)),
+    ("verify", "lemma1"): (_run_lemma1, ("--f", "--rect", "--grid", "--tol")),
+}
 
 
 @lru_cache(maxsize=None)
@@ -150,312 +387,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     root.add_argument("--out", help="write the JSON document to this path instead of stdout")
     sub = root.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("certify", help="classify a function's 2d-monotonicity on a grid")
-    p.add_argument("--f", required=True, help="bivariate expression or catalog:NAME")
-    p.add_argument("--rect", required=True)
-    p.add_argument("--grid", type=int, default=32)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--margin", type=float, default=None)
-
-    p = sub.add_parser("integrate", help="tensor Gauss-Legendre double integral")
-    p.add_argument("--f", required=True)
-    p.add_argument("--rect", required=True)
-    p.add_argument("--breaks", default=None, help="e.g. 'x:1,2;y:0.5'")
-    _add_quad_flags(p)
-
-    p = sub.add_parser("stieltjes", help="Riemann-Stieltjes sum of h against df")
-    p.add_argument("--h", required=True)
-    p.add_argument("--f", required=True)
-    p.add_argument("--rect", required=True)
-    p.add_argument("--partition", type=int, default=64)
-    p.add_argument("--doublings", type=int, default=4)
-    p.add_argument("--quad-tol", type=float, default=DEFAULT_SPEC.tol)
-
-    p = sub.add_parser("copula", help="copula construction and validation")
-    csub = p.add_subparsers(dest="copula_command", required=True)
-    pv = csub.add_parser("validate")
-    pv.add_argument("--f", required=True)
-    pv.add_argument("--grid", type=int, default=64)
-    pv.add_argument("--tol", type=float, default=1e-9)
-    pa = csub.add_parser("archimedean")
-    pa.add_argument("--phi", required=True, help="generator expression in t")
-    pa.add_argument("--eval", dest="eval_point", required=True, help="x,y")
-    pa.add_argument("--grid", type=int, default=64)
-    pa.add_argument("--tol", type=float, default=1e-9)
-
-    p = sub.add_parser("mollify", help="evaluate a mollified function")
-    p.add_argument("--f", required=True)
-    p.add_argument("--rect", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eval", dest="eval_point", required=True, help="x,y")
-    _add_quad_flags(p)
-
-    p = sub.add_parser("verify", help="identity and inequality checks")
-    vsub = p.add_subparsers(dest="check", required=True)
-
-    pv = vsub.add_parser("hardy")
-    pv.add_argument("--p", type=int, default=5)
-    pv.add_argument("--q", type=int, default=5)
-    pv.add_argument("--trials", type=int, default=100)
-    pv.add_argument("--seed", type=int, default=42)
-    pv.add_argument("--tol", type=float, default=1e-12)
-
-    pv = vsub.add_parser("steffensen")
-    pv.add_argument("--a", default=None, help="matrix as inline JSON or CSV path")
-    pv.add_argument("--u", default=None)
-    pv.add_argument("--p", type=int, default=5)
-    pv.add_argument("--q", type=int, default=5)
-    pv.add_argument("--trials", type=int, default=100)
-    pv.add_argument("--seed", type=int, default=42)
-    pv.add_argument("--tol", type=float, default=1e-12)
-
-    for name in ("young1", "young2"):
-        pv = vsub.add_parser(name)
-        pv.add_argument("--f", required=True)
-        pv.add_argument("--w", required=True)
-        pv.add_argument("--rect", required=True)
-        pv.add_argument("--tolerance", type=float, default=1e-6)
-        _add_quad_flags(pv)
-
-    for name in ("thm3", "thm4", "remark3"):
-        pv = vsub.add_parser(name)
-        pv.add_argument("--f", required=True)
-        pv.add_argument("--w", required=True)
-        pv.add_argument("--rect", required=True)
-        pv.add_argument("--grid", type=int, default=32)
-        pv.add_argument("--margin", type=float, default=0.0)
-        pv.add_argument("--tol", type=float, default=1e-9)
-        _add_quad_flags(pv)
-
-    pv = vsub.add_parser("fourier")
-    pv.add_argument("--kernel", required=True,
-                    choices=["sinsin2d", "coscos2d", "cos1d", "sin1d"])
-    pv.add_argument("--f", required=True)
-    pv.add_argument("--m", type=int, default=1)
-    pv.add_argument("--n", type=int, default=1)
-    _add_quad_flags(pv)
-
-    pv = vsub.add_parser("byparts")
-    pv.add_argument("--f", required=True)
-    pv.add_argument("--gdensity", default=None, help="mixed density of g")
-    pv.add_argument("--g1", default=None, help="x-edge density of g")
-    pv.add_argument("--g2", default=None, help="y-edge density of g")
-    pv.add_argument("--g0", type=float, default=0.0, help="g at the lower-left corner")
-    pv.add_argument("--rect", required=True)
-    pv.add_argument("--tolerance", type=float, default=1e-6)
-    _add_quad_flags(pv)
-
-    pv = vsub.add_parser("corollary")
-    pv.add_argument("--f", required=True)
-    pv.add_argument("--rect", required=True)
-    pv.add_argument("--tolerance", type=float, default=1e-6)
-    _add_quad_flags(pv)
-
-    pv = vsub.add_parser("lemma1")
-    pv.add_argument("--f", required=True)
-    pv.add_argument("--rect", required=True)
-    pv.add_argument("--grid", type=int, default=32)
-    pv.add_argument("--tol", type=float, default=1e-9)
-
+    top = {}
+    for name, (help_, dest) in _TOP_LEVEL.items():
+        p = sub.add_parser(name, help=help_)
+        top[name] = p.add_subparsers(dest=dest, required=True) if dest else p
+    for (name, *leaf), (_, flags) in _COMMANDS.items():
+        p = top[name].add_parser(*leaf) if leaf else top[name]
+        for flag in flags:
+            flag, own = (flag, {}) if isinstance(flag, str) else flag
+            p.add_argument(flag, **{**_FLAGS[flag], **own})
     return root
 
 
-def _function_arg(text: str):
-    """Expression string, or catalog:NAME(...) for a catalog entry."""
-    if text.startswith("catalog:"):
-        try:
-            return catalog(text[len("catalog:"):])
-        except CatalogError as exc:
-            raise UsageError(str(exc)) from exc
-    return text
-
-
-# ---------------------------------------------------------------------------
-# Subcommand implementations: each returns (result, passed, diagnostics)
-# ---------------------------------------------------------------------------
-
-def _run_certify(args):
-    rep = certify(
-        _function_arg(args.f),
-        _parse_rect(args.rect),
-        grid=args.grid,
-        tol=args.tol,
-        margin=args.margin,
-    )
-    return rep.to_dict(), rep.verdict != "indefinite", {"verdict": rep.verdict}
-
-
-def _run_integrate(args):
-    bx, by = _parse_breaks(args.breaks)
-    spec = _spec_from(args).with_breaks(bx, by)
-    value, err = integrate2d(_function_arg(args.f), _parse_rect(args.rect), spec)
-    return (
-        {"value": value, "error_estimate": err},
-        True,
-        {"tolerance": spec.tol},
-    )
-
-
-def _run_stieltjes(args):
-    res = stieltjes2d(
-        _function_arg(args.h),
-        _function_arg(args.f),
-        _parse_rect(args.rect),
-        partition=args.partition,
-        tol=args.quad_tol,
-        doublings=args.doublings,
-    )
-    bound_ok = (not res.integrator_monotone) or abs(res.value) <= res.bound + 1e-10
-    return res.to_dict(), bool(bound_ok and res.converged), {
-        "bound_checked": res.integrator_monotone,
-    }
-
-
-def _run_copula(args):
-    if args.copula_command == "validate":
-        rep = validate_copula(_function_arg(args.f), grid=args.grid, tol=args.tol)
-        return rep.to_dict(), rep.passed, {"witness": rep.boundary_witness_condition}
-    A = archimedean(args.phi)
-    x, y = _parse_point(args.eval_point)
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-        raise UsageError(f"--eval point ({x}, {y}) lies outside the unit square [0, 1]^2")
-    value = A(x, y)
-    rep = validate_copula(A, grid=args.grid, tol=args.tol)
-    result = {"value": value, "point": [x, y], "validation": rep.to_dict()}
-    return result, rep.passed, {"generator": args.phi}
-
-
-def _run_mollify(args):
-    rect = _parse_rect(args.rect)
-    spec = _spec_from(args)
-    moll = make_mollifier(args.n)
-    mass, mass_err = integrate2d(moll, moll.support, spec)
-    g = mollify(_function_arg(args.f), rect, args.n, spec)
-    x, y = _parse_point(args.eval_point)
-    value = float(_sample(g, "mollified value", x, y))
-    passed = abs(mass - 1.0) <= 1e-6
-    return (
-        {"value": value, "point": [x, y], "mollifier_mass": mass,
-         "mass_error_estimate": mass_err, "n": args.n},
-        passed,
-        {"normalization": moll.c},
-    )
-
-
-def _run_verify(args):
-    check = args.check
-    trial_mode = check == "hardy" or (check == "steffensen" and args.a is args.u is None)
-    if trial_mode and args.trials < 1:
-        raise UsageError("--trials must be >= 1")
-    if check == "hardy":
-        rng = np.random.default_rng(args.seed)
-        worst = 0.0
-        for _ in range(args.trials):
-            a, u = random_pair(args.p, args.q, rng)
-            worst = max(worst, hardy_residual(a, u, args.tol).rel_residual)
-        return (
-            {"trials": args.trials, "p": args.p, "q": args.q, "max_rel_residual": worst},
-            worst <= args.tol,
-            {"seed": args.seed},
-        )
-
-    if check == "steffensen":
-        if (args.a is None) != (args.u is None):
-            raise UsageError("provide both --a and --u, or neither (trial mode)")
-        if args.a is not None:
-            rep = steffensen_check(_load_matrix(args.a), _load_matrix(args.u), tol=args.tol)
-            passed = rep.conclusion_holds or not rep.hypotheses_hold
-            return rep.to_dict(), passed, {"mode": "single"}
-        rng = np.random.default_rng(args.seed)
-        min_sum = float("inf")
-        for _ in range(args.trials):
-            a, u = hypothesis_pair(args.p, args.q, rng)
-            rep = steffensen_check(a, u, tol=args.tol)
-            if not rep.hypotheses_hold:
-                raise UsageError("constructive generator produced a non-hypothesis pair")
-            min_sum = min(min_sum, rep.total)
-        return (
-            {"trials": args.trials, "p": args.p, "q": args.q, "min_sum": min_sum},
-            min_sum >= -args.tol,
-            {"seed": args.seed, "mode": "trials"},
-        )
-
-    if check in ("young1", "young2"):
-        res = young_residual(
-            check,
-            _function_arg(args.f),
-            _function_arg(args.w),
-            _parse_rect(args.rect),
-            spec=_spec_from(args),
-            tolerance=args.tolerance,
-        )
-        return res.to_dict(), res.residual.passed, {"variant": res.variant}
-
-    if check in ("thm3", "thm4", "remark3"):
-        rep = steffensen_integral(
-            check,
-            _function_arg(args.f),
-            _function_arg(args.w),
-            _parse_rect(args.rect),
-            grid=args.grid,
-            spec=_spec_from(args),
-            margin=args.margin,
-            tol=args.tol,
-        )
-        passed = rep.inequality_holds or not rep.hypotheses_hold
-        return rep.to_dict(), passed, {"hypotheses_hold": rep.hypotheses_hold}
-
-    if check == "fourier":
-        res = fourier_check(args.kernel, _function_arg(args.f), args.m, args.n,
-                            spec=_spec_from(args))
-        return res.to_dict(), res.sign_ok, {"expected_sign": res.expected_sign}
-
-    if check == "byparts":
-        rect = _parse_rect(args.rect)
-        g = from_ac(args.g0, rect, g1=args.g1, g2=args.g2, density=args.gdensity,
-                    spec=_spec_from(args))
-        res = byparts_residual(_function_arg(args.f), g, rect, spec=_spec_from(args),
-                               tolerance=args.tolerance)
-        passed = res.residual.passed or not res.edge_vanishing
-        return res.to_dict(), passed, {"edge_vanishing": res.edge_vanishing}
-
-    if check == "corollary":
-        res = sum_vs_integral(_function_arg(args.f), _parse_rect(args.rect),
-                              spec=_spec_from(args), tolerance=args.tolerance)
-        return res.to_dict(), res.passed, {}
-
-    if check == "lemma1":
-        res = lemma1_check(_function_arg(args.f), _parse_rect(args.rect),
-                           grid=args.grid, tol=args.tol)
-        return res.to_dict(), res.consistent, {"verdict": res.verdict}
-
-    raise UsageError(f"unknown check {check!r}")
-
-
-_DISPATCH = {
-    "certify": _run_certify,
-    "integrate": _run_integrate,
-    "stieltjes": _run_stieltjes,
-    "copula": _run_copula,
-    "mollify": _run_mollify,
-    "verify": _run_verify,
-}
-
-
-# Flags whose values are expressions and may legitimately start with '-'
-# (e.g. --phi -log(t)); they are merged into --flag=value before argparse.
-_VALUE_FLAGS = {
-    "--f", "--w", "--h", "--phi", "--g1", "--g2", "--gdensity",
-    "--eval", "--rect", "--breaks", "--a", "--u",
-}
-
-
 def _merge_value_flags(argv):
+    """argv with each free-form flag and its value joined into --flag=value."""
+    free = {flag for flag, kw in _FLAGS.items() if "type" not in kw and "choices" not in kw}
     merged, i = [], 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv):
+        if tok in free and i + 1 < len(argv):
             merged.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -489,11 +439,14 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         return EXIT_USAGE
 
     command = args.command
+    group = _TOP_LEVEL[command][1]
+    path = (command, getattr(args, group)) if group else (command,)
     label = command if command != "verify" else f"verify {args.check}"
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result, passed, diagnostics = _DISPATCH[command](args)
+            record, diagnostics = _COMMANDS[path][0](args)
+            result, passed = record.to_dict(), record.passed
     except (UsageError, ParseError, CatalogError, InvalidGeneratorError, ValueError,
             OSError, json.JSONDecodeError) as exc:
         _report_warnings(caught, stderr)

@@ -87,8 +87,8 @@ class Generator:
         )
 
     def inverse(self, s):
-        """Pseudo-inverse by bisection: phi_inv(s) for s >= 0, clamped to 0
-        once s reaches phi(0+).
+        """Pseudo-inverse by bisection: phi_inv(s), clamped to 1 for every
+        s <= 0 (-inf included) and to 0 once s reaches phi(0+).
 
         Each distinct value of s is bisected once, in _BISECTION_SWEEPS (47)
         sweeps of [0, 1].  After k sweeps the bracket is [lo, lo + 2^-k], so
@@ -106,10 +106,7 @@ class Generator:
                 h *= 0.5
         out = lo + h  # the midpoint of the last bracket
         out[u <= 0.0] = 1.0
-        if math.isfinite(self.phi_at_zero):
-            out[u >= self.phi_at_zero] = 0.0
-        else:
-            out[np.isinf(u)] = 0.0
+        out[u >= self.phi_at_zero] = 0.0  # only +inf when phi(0+) is infinite
         out = out[back.reshape(s.shape)]
         return float(out) if s.ndim == 0 else out
 
@@ -117,8 +114,9 @@ class Generator:
 def archimedean(gen) -> BivariateFn:
     """Coupling A(x, y) = phi_inv(phi(x) + phi(y)) on the unit square [0, 1]^2.
 
-    A is defined only there: a generator lives on (0, 1], so off the square
-    phi(x) + phi(y) has no meaning and the value returned is not A's.
+    A is defined only there: a generator lives on (0, 1], so off the square,
+    or at a NaN coordinate, A is NaN, and a check that samples it there
+    raises NumericDomainError naming the point.
 
     Accepts a Generator, a univariate expression string, or a callable;
     generator invariants are validated before construction.
@@ -129,10 +127,13 @@ def archimedean(gen) -> BivariateFn:
 
     def fn(x, y):
         with np.errstate(all="ignore"):
-            s = np.asarray(phi(np.asarray(x, dtype=float)), dtype=float) + np.asarray(
-                phi(np.asarray(y, dtype=float)), dtype=float
-            )
-        return gen.inverse(s)
+            s = np.asarray(phi(x), dtype=float) + np.asarray(phi(y), dtype=float)
+        out = gen.inverse(s)
+        # NaN coordinates compare false, so they fall off the square too
+        off_x, off_y = ~((0.0 <= x) & (x <= 1.0)), ~((0.0 <= y) & (y <= 1.0))
+        if off_x.any() or off_y.any():
+            out = np.where(off_x | off_y, np.nan, out)
+        return out
 
     label = getattr(phi, "name", None) or "phi"
     out = BivariateFn.from_callable(fn, name=f"archimedean({label})")

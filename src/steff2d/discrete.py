@@ -151,6 +151,11 @@ class SteffensenReport(Record):
     def hypotheses_hold(self) -> bool:
         return self.nonneg_a and self.nonneg_delta and self.nonneg_partial_sums
 
+    @property
+    def passed(self) -> bool:
+        """The conclusion holds, or the hypotheses fail (no claim is made)."""
+        return self.conclusion_holds or not self.hypotheses_hold
+
     def to_dict(self) -> dict:
         return {**super().to_dict(), "hypotheses_hold": self.hypotheses_hold}
 

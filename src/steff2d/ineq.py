@@ -99,6 +99,11 @@ class YoungResult(Record):
     edge_y_term: float
     mixed_term: float
 
+    @property
+    def passed(self) -> bool:
+        """The identity's residual is within the tolerance."""
+        return self.residual.passed
+
 
 def young_residual(variant: str, f, w, rect: Rect,
                    spec: Optional[QuadratureSpec] = None,
@@ -161,6 +166,11 @@ class TheoremReport(Record):
     primitive_max: float
     primitive_ok: bool
     hypotheses_hold: bool
+
+    @property
+    def passed(self) -> bool:
+        """The inequality holds, or the hypotheses fail (no claim is made)."""
+        return self.inequality_holds or not self.hypotheses_hold
 
 
 # theorem -> (orientation of the primitive, sign of the reported orientation)
@@ -244,6 +254,11 @@ class FourierCheck(Record):
     sign_ok: bool
     profile_monotone: Optional[bool]
     profile_convex: Optional[bool]
+
+    @property
+    def passed(self) -> bool:
+        """The value has the expected sign."""
+        return self.sign_ok
 
 
 def _profile_shape(F, lo: float, hi: float) -> tuple[bool, bool]:
@@ -340,6 +355,12 @@ class BypartsResult(Record):
     stieltjes_term: float
     edge_vanishing: bool
 
+    @property
+    def passed(self) -> bool:
+        """The residual is within the tolerance, or g does not vanish on the
+        lower-left edges (the identity is not claimed)."""
+        return self.residual.passed or not self.edge_vanishing
+
 
 def byparts_residual(f, g: AcFunction, rect: Rect,
                      spec: Optional[QuadratureSpec] = None,
@@ -431,6 +452,11 @@ class Lemma1Report(Record):
     consistent: bool
     grid: int
     tol: float
+
+    @property
+    def passed(self) -> bool:
+        """The grid verdict agrees with the sign of the mixed partial."""
+        return self.consistent
 
 
 _MIXED_SIGN = {MONOTONE_2D: "nonnegative", ALTERNATING_2D: "nonpositive", MODULAR: "zero",

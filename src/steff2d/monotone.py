@@ -119,6 +119,11 @@ class MonotonicityReport(Record):
     nonnegative: bool
     f_min: float
 
+    @property
+    def passed(self) -> bool:
+        """A verdict was reached: the lattice is not indefinite."""
+        return self.verdict != INDEFINITE
+
 
 def certify(f, domain: Rect, grid: int = 32, tol: float = 1e-9,
             margin: Optional[float] = None) -> MonotonicityReport:

@@ -519,6 +519,13 @@ class StieltjesResult(Record):
     integrator_monotone: bool
     partition: int
 
+    @property
+    def passed(self) -> bool:
+        """Converged, and within the bound when the integrator is 2d-monotone
+        (otherwise the bound is not asserted)."""
+        return self.converged and (not self.integrator_monotone
+                                   or abs(self.value) <= self.bound + 1e-10)
+
 
 def stieltjes2d(h, f, rect: Rect, partition: int = 64, tol: float = 1e-8,
                 doublings: int = 4, mono_tol: float = 1e-9) -> StieltjesResult:

@@ -4,13 +4,16 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import steff2d
+import steff2d.cli as cli
 from steff2d.cli import EXIT_FAIL, EXIT_NUMERIC, EXIT_PASS, EXIT_USAGE, _build_parser, run
 
 SCHEMA_KEYS = {"command", "inputs", "result", "pass", "diagnostics", "version"}
@@ -113,6 +116,74 @@ def test_passing_commands_emit_schema_and_exit_zero(argv, result_keys):
     assert doc["pass"] is True
     assert doc["version"]
     assert key_sets(doc["result"]) == result_keys
+
+
+# One argv per check whose records fail.
+FAILING_COMMANDS = [
+    ["certify", "--f", "sin(3*x)*sin(3*y)", "--rect", "0,2,0,2"],
+    ["stieltjes", "--h", "x+y", "--f", "x*y", "--rect", "0,1,0,1", "--doublings", "0"],
+    ["copula", "validate", "--f", "x+y", "--grid", "16"],
+    ["copula", "archimedean", "--phi", "-log(t)", "--eval", "0.5,0.5", "--grid", "16",
+     "--tol", "0"],
+    ["verify", "hardy", "--p", "5", "--q", "7", "--trials", "20", "--tol", "1e-18"],
+    ["verify", "steffensen", "--p", "3", "--q", "3", "--trials", "5", "--tol", "-1000"],
+    ["verify", "steffensen", "--a", "[[1]]", "--u", "[[0]]", "--tol", "-0.5"],
+    *(["verify", variant, "--f", "exp(x*y)", "--w", "cos(5*x*y)", "--rect", "0,1,0,1",
+       "--cells", "1", "--points", "2", "--quad-tol", "10"] for variant in ("young1", "young2")),
+    # the primitive of w is 0 on the 3 x 3 lattice and negative between its points
+    ["verify", "thm3", "--f", "x*y-x-y", "--w", "-4*pi^2*sin(4*pi*x)*sin(4*pi*y)",
+     "--rect", "0,1,0,1", "--grid", "2"],
+    ["verify", "thm4", "--f", "x*y", "--w", "-4*pi^2*sin(4*pi*x)*sin(4*pi*y)",
+     "--rect", "0,1,0,1", "--grid", "2"],
+    ["verify", "remark3", "--f", "x+y-x*y", "--w", "4*pi^2*sin(4*pi*x)*sin(4*pi*y)",
+     "--rect", "0,1,0,1", "--grid", "2"],
+    ["verify", "fourier", "--kernel", "cos1d", "--f", "-(u^2)"],
+    ["verify", "byparts", "--f", "exp(-x-y)", "--gdensity", "1", "--rect", "0,1,0,1",
+     "--tolerance", "0"],
+    ["verify", "corollary", "--f", "exp(x*y)", "--rect", "0,2,0,2", "--cells", "1",
+     "--points", "2", "--quad-tol", "10"],
+    ["verify", "lemma1", "--f", "floor(2*x)*y", "--rect", "0,1,0,1"],
+]
+
+# The library calls whose records decide a pass; integrate and mollify make none.
+RECORD_CALLS = ("certify", "stieltjes2d", "validate_copula", "hardy_residual",
+                "steffensen_check", "young_residual", "steffensen_integral", "fourier_check",
+                "byparts_residual", "sum_vs_integral", "lemma1_check")
+VERDICT_CASES = [(argv, True) for argv, _ in PASSING_COMMANDS
+                 if argv[0] not in ("integrate", "mollify")] + [
+                (argv, False) for argv in FAILING_COMMANDS]
+
+
+@pytest.mark.parametrize("argv, passed", VERDICT_CASES,
+                         ids=[" ".join(argv[:2]) + "…" for argv, _ in VERDICT_CASES])
+def test_pass_is_the_library_records_passed(argv, passed, monkeypatch):
+    records = []
+
+    def keep(call):
+        return lambda *a, **k: records.append(call(*a, **k)) or records[-1]
+
+    for name in RECORD_CALLS:
+        monkeypatch.setattr(cli, name, keep(getattr(cli, name)))
+    code, doc = invoke_json(argv)
+    assert records
+    assert doc["pass"] is all(rec.passed for rec in records) is passed
+    assert code == (EXIT_PASS if passed else EXIT_FAIL)
+
+
+def readme_commands() -> list:
+    """The argv of each `steff2d ...` line under README's "Command line"."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return [shlex.split(line)[1:] for line in section.splitlines() if line.startswith("steff2d ")]
+
+
+@pytest.mark.parametrize("path", list(cli._COMMANDS), ids=" ".join)
+def test_readme_shows_every_command_and_it_passes(path):
+    argvs = [argv for argv in readme_commands() if tuple(argv[:len(path)]) == path]
+    assert argvs, f"no README example of steff2d {' '.join(path)}"
+    for argv in argvs:
+        code, out, err = invoke(argv)
+        assert code == EXIT_PASS, (argv, err)
 
 
 class TestSpecificResults:

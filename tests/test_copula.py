@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from steff2d.copula import Generator, InvalidGeneratorError, archimedean, validate_copula
+from steff2d.core import NumericDomainError, Rect
 from steff2d.expr import BivariateFn
+from steff2d.quad import stieltjes2d
 
 
 def _stop_test_inverse(gen, s):
@@ -29,7 +31,7 @@ def _stop_test_inverse(gen, s):
     if math.isfinite(gen.phi_at_zero):
         out[s >= gen.phi_at_zero] = 0.0
     else:
-        out[np.isinf(s)] = 0.0
+        out[s == math.inf] = 0.0
     return float(out[0]) if scalar else out
 
 
@@ -120,6 +122,13 @@ class TestArchimedean:
                       1.0, 1.0, -math.inf, 0.0, 2.5, 0.3])
         assert gen.inverse(s).tobytes() == _stop_test_inverse(gen, s).tobytes()
 
+    @pytest.mark.parametrize("phi", EDGE_GENERATORS)
+    def test_every_nonpositive_argument_inverts_to_one(self, phi):
+        # -inf too, whether phi(0+) is finite or infinite
+        gen = Generator.from_expression(phi)
+        assert gen.inverse(-math.inf) == 1.0
+        assert gen.inverse(np.array([-math.inf, -1.0, -0.0, 0.0])).tolist() == [1.0] * 4
+
     @pytest.mark.parametrize("phi", ["(t^(-2.0) - 1)/2.0", "log((1 - (0.9)*(1 - t))/t)"])
     def test_multi_strip_validation_equals_the_loop_with_a_stop_test(self, phi):
         # 521^2 lattice points are scanned in five strips
@@ -154,6 +163,26 @@ class TestArchimedean:
         distinct = np.unique(s).size
         assert distinct < 65 * 66 // 2
         assert sum(seen) == 47 * distinct
+
+    @pytest.mark.parametrize("phi", ["(-log(t))^2.7", "1 - t"])
+    def test_off_the_unit_square_is_nan(self, phi):
+        A = archimedean(phi)
+        for x, y in ((1.5, 0.5), (-0.2, 0.5), (0.5, 1.0000001), (math.nan, 0.5), (0.5, math.nan)):
+            assert math.isnan(A(x, y)), (x, y)
+        xs, ys = np.array([0.2, 1.5, 0.7])[:, None], np.array([0.3, -1.0, 1.0])[None, :]
+        values = A(xs, ys)
+        off = np.array([[False, True, False], [True, True, True], [False, True, False]])
+        assert np.isnan(values[off]).all()
+        assert values[~off].tobytes() == A(np.array([0.2, 0.2, 0.7, 0.7]),
+                                           np.array([0.3, 1.0, 0.3, 1.0])).tobytes()
+
+    def test_checks_sampling_off_the_unit_square_name_the_point(self):
+        A = archimedean("(-log(t))^2.7")
+        # the first lattice points past x = 1 in row-major order
+        with pytest.raises(NumericDomainError, match=r"integrator .* at \(1\.0625, 0\.0\)"):
+            stieltjes2d("x + y", A, Rect(0.0, 2.0, 0.0, 1.0), partition=32)
+        with pytest.raises(NumericDomainError, match=r"copula .* at \(0\.625, 0\.0\)"):
+            validate_copula(lambda x, y: A(2.0 * x, y), grid=8)
 
     @pytest.mark.parametrize("phi", ["t", "log(t)", "t - 1", "sqrt(1-t)*0 + t^2 - t"])
     def test_invalid_generators_rejected(self, phi):
