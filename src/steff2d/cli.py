@@ -45,7 +45,7 @@ from .discrete import (
     random_pair,
     steffensen_check,
 )
-from .expr import ParseError, evaluate, free_variables, parse
+from .expr import ParseError, _constant
 from .ineq import (
     byparts_residual,
     fourier_check,
@@ -67,19 +67,30 @@ class UsageError(ValueError):
     """Bad flag value discovered during input validation."""
 
 
-def _constant(text: str) -> float:
+def _number(text: str) -> float:
     """Numeric literal or constant expression like 'pi', '3*pi/4'."""
-    ast = parse(text)
-    if free_variables(ast):
+    value = _constant(text)
+    if value is None:
         raise UsageError(f"expected a constant expression, got {text!r}")
-    return evaluate(ast, 0.0, 0.0)
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """A --tol or --tolerance value: finite and not negative, see monotone._classify."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _parse_rect(text: str) -> Rect:
     parts = text.split(",")
     if len(parts) != 4:
         raise UsageError(f"--rect expects a,b,c,d, got {text!r}")
-    a, b, c, d = (_constant(p) for p in parts)
+    a, b, c, d = (_number(p) for p in parts)
     try:
         return Rect(a, b, c, d)
     except ValueError as exc:
@@ -90,25 +101,22 @@ def _parse_point(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"expected x,y, got {text!r}")
-    return _constant(parts[0]), _constant(parts[1])
+    return _number(parts[0]), _number(parts[1])
 
 
 def _parse_breaks(text: Optional[str]) -> tuple[tuple, tuple]:
     """Breakpoint lists in the form 'x:1,2,3;y:0.5' (either axis optional)."""
     if not text:
         return (), ()
-    bx, by = [], []
+    axes = {"x:": [], "y:": []}
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        if chunk.startswith("x:"):
-            bx.extend(_constant(v) for v in chunk[2:].split(",") if v.strip())
-        elif chunk.startswith("y:"):
-            by.extend(_constant(v) for v in chunk[2:].split(",") if v.strip())
-        else:
+        if chunk[:2] not in axes:
             raise UsageError(f"breakpoints must look like 'x:...;y:...', got {chunk!r}")
-    return tuple(bx), tuple(by)
+        axes[chunk[:2]].extend(_number(v) for v in chunk[2:].split(",") if v.strip())
+    return tuple(axes["x:"]), tuple(axes["y:"])
 
 
 def _load_matrix(text: str) -> DoubleSequence:
@@ -316,8 +324,8 @@ _FLAGS = {
     "--g0": {"type": float, "default": 0.0, "help": "g at the lower-left corner"},
     "--kernel": {"required": True, "choices": ["sinsin2d", "coscos2d", "cos1d", "sin1d"]},
     "--grid": {"type": int, "default": 32},
-    "--tol": {"type": float, "default": 1e-9},
-    "--tolerance": {"type": float, "default": 1e-6},
+    "--tol": {"type": _tolerance, "default": 1e-9},
+    "--tolerance": {"type": _tolerance, "default": 1e-6},
     "--margin": {"type": float, "default": 0.0},
     "--partition": {"type": int, "default": 64},
     "--doublings": {"type": int, "default": 4},
@@ -335,7 +343,8 @@ _FLAGS = {
                      "help": "refinement sweep limit"},
 }
 _QUAD = ("--quad-tol", "--cells", "--points", "--max-refine")
-_TRIALS = ("--p", "--q", "--trials", "--seed", ("--tol", {"default": 1e-12}))
+# A negative --tol only tightens the conclusion of a trial check, so it stays a float.
+_TRIALS = ("--p", "--q", "--trials", "--seed", ("--tol", {"type": float, "default": 1e-12}))
 _COPULA_GRID = ("--grid", {"default": 64})
 
 # Each first word of a command: its help, and for a group of commands the

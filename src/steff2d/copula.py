@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Record, _scan
-from .expr import BivariateFn, UnivariateFn, as_bivariate, as_univariate
+from .expr import BivariateFn, UnivariateFn, as_bivariate, as_univariate, to_string
 
 __all__ = [
     "InvalidGeneratorError",
@@ -55,20 +55,18 @@ class Generator:
     value_at_one: float
 
     @classmethod
-    def from_expression(cls, phi, samples: int = 257, tol: float = 1e-9) -> "Generator":
-        """Validate phi on a sampled grid: strictly decreasing, convex
-        (second differences >= -tol), and phi(1) = 0 within 1e-12."""
+    def from_expression(cls, phi) -> "Generator":
+        """Validate phi on 257 points from 1e-6 to 1: strictly decreasing,
+        convex (second differences >= -1e-9), and phi(1) = 0 within 1e-12."""
         phi = as_univariate(phi)
         v1 = float(phi(1.0))
         if not (math.isfinite(v1) and abs(v1) <= 1e-12):
             raise InvalidGeneratorError(f"generator must satisfy phi(1) = 0, got {v1}")
-        grid = np.linspace(1e-6, 1.0, samples)
-        vals = phi(grid)
+        vals = phi(np.linspace(1e-6, 1.0, 257))
         if not np.all(np.isfinite(vals)):
             raise InvalidGeneratorError("generator is not finite on (0, 1]")
-        diffs = np.diff(vals)
-        decreasing = bool(np.all(diffs < 0.0))
-        convex = bool(np.all(np.diff(vals, 2) >= -tol))
+        decreasing = bool(np.all(np.diff(vals) < 0.0))
+        convex = bool(np.all(np.diff(vals, 2) >= -1e-9))
         if not decreasing:
             raise InvalidGeneratorError("generator is not strictly decreasing on (0, 1]")
         if not convex:
@@ -135,7 +133,7 @@ def archimedean(gen) -> BivariateFn:
             out = np.where(off_x | off_y, np.nan, out)
         return out
 
-    label = getattr(phi, "name", None) or "phi"
+    label = phi.name or (phi.ast and to_string(phi.ast)) or "phi"
     out = BivariateFn.from_callable(fn, name=f"archimedean({label})")
     out.generator = gen
     return out

@@ -201,18 +201,17 @@ def random_pair(p: int, q: int, rng: np.random.Generator) -> tuple[DoubleSequenc
     return a, u
 
 
-def hypothesis_pair(p: int, q: int, rng: np.random.Generator,
-                    high: int = 4) -> tuple[DoubleSequence, DoubleSequence]:
+def hypothesis_pair(p: int, q: int, rng: np.random.Generator) -> tuple[DoubleSequence, DoubleSequence]:
     """Constructive hypothesis-satisfying pair with small integer entries.
 
-    Draws a nonnegative difference table and integrates it to a, and a
-    nonnegative partial-sum table and differences it to u.  Integer
-    entries keep every operation exact in floating point, so the
-    hypotheses hold exactly rather than approximately.
+    Draws a difference table with entries 0..4 and integrates it to a, and
+    a partial-sum table with entries 0..16 and differences it to u.  Integer
+    entries keep every operation exact in floating point, so the hypotheses
+    hold exactly rather than approximately.
     """
-    D = DeltaTable(rng.integers(0, high + 1, size=(p, q)).astype(float))
+    D = DeltaTable(rng.integers(0, 5, size=(p, q)).astype(float))
     a = integrate_delta(D)
-    S = DoubleSequence(rng.integers(0, 4 * high + 1, size=(p, q)).astype(float))
+    S = DoubleSequence(rng.integers(0, 17, size=(p, q)).astype(float))
     padded = np.zeros((p + 1, q + 1))
     padded[1:, 1:] = S.values
     u = DoubleSequence(_delta(padded))

@@ -363,6 +363,13 @@ def evaluate(node: Ast, x: float, y: float = 0.0) -> float:
         return float(_eval_node(node, np.float64(x), np.float64(y)))
 
 
+def _constant(text: str, univariate: bool = False) -> Optional[float]:
+    """Value of a constant expression such as '3*pi/4', or None when it names
+    a variable of parse (parse_univariate); ParseError when it does not parse."""
+    ast = (parse_univariate if univariate else parse)(text)
+    return None if free_variables(ast) else evaluate(ast, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Compilation to a vectorized numpy callable
 # ---------------------------------------------------------------------------
@@ -670,7 +677,7 @@ class BivariateFn:
 
     @classmethod
     def from_ast(cls, ast: Ast) -> "BivariateFn":
-        return cls(_compile(ast), ast=ast, name=to_string(ast))
+        return cls(_compile(ast), ast=ast)
 
     @classmethod
     def from_callable(cls, fn: Callable, name: Optional[str] = None) -> "BivariateFn":
@@ -722,7 +729,7 @@ class UnivariateFn:
 
     @classmethod
     def from_ast(cls, ast: Ast) -> "UnivariateFn":
-        return cls(_compile(ast), ast=ast, name=to_string(ast))
+        return cls(_compile(ast), ast=ast)
 
     @classmethod
     def from_callable(cls, fn: Callable, name: Optional[str] = None) -> "UnivariateFn":
@@ -740,26 +747,25 @@ class UnivariateFn:
         return f"UnivariateFn({self.name or (self.ast and to_string(self.ast))!r})"
 
 
-def as_bivariate(obj) -> BivariateFn:
-    """Coerce a string / BivariateFn / plain callable to a BivariateFn."""
-    if isinstance(obj, BivariateFn):
+def _as_function(obj, cls):
+    """as_bivariate and as_univariate, for cls BivariateFn and UnivariateFn."""
+    if isinstance(obj, cls):
         return obj
     if isinstance(obj, str):
-        return BivariateFn.from_expression(obj)
+        return cls.from_expression(obj)
     if isinstance(obj, (Num, Var, Unary, Bin, Call)):
-        return BivariateFn.from_ast(obj)
+        return cls.from_ast(obj)
     if callable(obj):
-        return BivariateFn.from_callable(obj)
-    raise TypeError(f"cannot interpret {type(obj).__name__} as a bivariate function")
+        return cls.from_callable(obj)
+    raise TypeError(f"cannot interpret {type(obj).__name__} as a {cls.__name__}")
+
+
+def as_bivariate(obj) -> BivariateFn:
+    """Coerce an expression string, a parsed AST, a BivariateFn or a numpy-broadcasting
+    callable, also one that returns a single value, to a BivariateFn."""
+    return _as_function(obj, BivariateFn)
 
 
 def as_univariate(obj) -> UnivariateFn:
-    if isinstance(obj, UnivariateFn):
-        return obj
-    if isinstance(obj, str):
-        return UnivariateFn.from_expression(obj)
-    if isinstance(obj, (Num, Var, Unary, Bin, Call)):
-        return UnivariateFn.from_ast(obj)
-    if callable(obj):
-        return UnivariateFn.from_callable(obj)
-    raise TypeError(f"cannot interpret {type(obj).__name__} as a univariate function")
+    """The coercion of as_bivariate, for a one-variable function."""
+    return _as_function(obj, UnivariateFn)

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .core import IdentityResidual, Record, Rect, _sample, _scan
-from .expr import Bin, BivariateFn, Call, UnivariateFn, Var, as_bivariate, as_univariate
+from .expr import BivariateFn, UnivariateFn, as_bivariate, as_univariate
 from .monotone import (
     ALTERNATING_2D,
     INDEFINITE,
@@ -272,8 +272,7 @@ def _profile_shape(F, lo: float, hi: float) -> tuple[bool, bool]:
 
 
 def fourier_check(kernel: str, f, m: int = 1, n: int = 1,
-                  spec: Optional[QuadratureSpec] = None,
-                  sign_tol: float = 1e-8) -> FourierCheck:
+                  spec: Optional[QuadratureSpec] = None) -> FourierCheck:
     """Integrate f against a sin/cos kernel and compare against its sign claim.
 
     Kernels: "sinsin2d" integrates f(s+t) sin(ms) sin(nt) over [0, 2pi]^2
@@ -281,7 +280,7 @@ def fourier_check(kernel: str, f, m: int = 1, n: int = 1,
     convex f); "coscos2d" integrates a bivariate convex f against
     cos(mx) cos(ny) (nonnegative); "cos1d" and "sin1d" are the classical
     one-variable integrals over [0, 2pi] indexed by n (cos: nonnegative
-    for convex f; sin: unconstrained).
+    for convex f; sin: unconstrained).  A nonnegative value is one >= -1e-8.
     """
     if kernel not in ("sinsin2d", "coscos2d", "cos1d", "sin1d"):
         raise ValueError(f"unknown kernel {kernel!r}")
@@ -297,30 +296,25 @@ def fourier_check(kernel: str, f, m: int = 1, n: int = 1,
     two_pi = 2.0 * math.pi
     spec_osc = replace(spec, cells=max(spec.cells, 2 * max(m, n)))
 
+    square = Rect(0.0, two_pi, 0.0, two_pi)
     profile_monotone = profile_convex = None
-    if kernel == "sinsin2d":
-        F = as_univariate(f)
-        profile_monotone, profile_convex = _profile_shape(F, 0.0, 4.0 * math.pi)
-        value, err = integrate2d(
-            lambda x, y: F(x + y) * np.sin(m * x) * np.sin(n * y),
-            Rect(0.0, two_pi, 0.0, two_pi), spec_osc,
-        )
-        expected = "nonnegative"
-    elif kernel == "coscos2d":
+    if kernel == "coscos2d":
         G = as_bivariate(f)
-        value, err = integrate2d(
-            lambda x, y: G(x, y) * np.cos(m * x) * np.cos(n * y),
-            Rect(0.0, two_pi, 0.0, two_pi), spec_osc,
-        )
-        expected = "nonnegative"
+        value, err = integrate2d(lambda x, y: G(x, y) * np.cos(m * x) * np.cos(n * y),
+                                 square, spec_osc)
     else:
         F = as_univariate(f)
-        profile_monotone, profile_convex = _profile_shape(F, 0.0, two_pi)
-        osc = np.cos if kernel == "cos1d" else np.sin
-        value, err = integrate1d(lambda t: F(t) * osc(n * t), 0.0, two_pi, spec_osc)
-        expected = "nonnegative" if kernel == "cos1d" else "unconstrained"
+        span = 4.0 * math.pi if kernel == "sinsin2d" else two_pi
+        profile_monotone, profile_convex = _profile_shape(F, 0.0, span)
+        if kernel == "sinsin2d":
+            value, err = integrate2d(lambda x, y: F(x + y) * np.sin(m * x) * np.sin(n * y),
+                                     square, spec_osc)
+        else:
+            osc = np.cos if kernel == "cos1d" else np.sin
+            value, err = integrate1d(lambda t: F(t) * osc(n * t), 0.0, two_pi, spec_osc)
+    expected = "unconstrained" if kernel == "sin1d" else "nonnegative"
 
-    sign_ok = True if expected == "unconstrained" else bool(value >= -sign_tol)
+    sign_ok = True if expected == "unconstrained" else bool(value >= -1e-8)
     return FourierCheck(
         kernel=kernel,
         m=m,
@@ -364,11 +358,12 @@ class BypartsResult(Record):
 
 def byparts_residual(f, g: AcFunction, rect: Rect,
                      spec: Optional[QuadratureSpec] = None,
-                     tolerance: float = 1e-6, partition: int = 64,
-                     doublings: int = 3, edge_tol: float = 1e-9) -> BypartsResult:
+                     tolerance: float = 1e-6) -> BypartsResult:
     """Check int f dg = f(b,d) g(b,d) - int f_x(.,d) g(.,d) - int f_y(b,.) g(b,.)
     + int g df, with int f dg computed as the integral of f times g's
-    mixed density."""
+    mixed density, int g df by stieltjes2d from partition 64 with 3
+    doublings, and g vanishing on the lower-left edges when |g| <= 1e-9 at
+    the 65 lattice points of each."""
     spec = spec or DEFAULT_SPEC
     f = _require_symbolic(f, "byparts_residual")
     if not isinstance(g, AcFunction):
@@ -379,7 +374,7 @@ def byparts_residual(f, g: AcFunction, rect: Rect,
     else:
         lhs = 0.0
     corner, edge_x, edge_y = _boundary_terms(f, g, rect, spec)
-    stj = stieltjes2d(g, f, rect, partition=partition, tol=spec.tol, doublings=doublings)
+    stj = stieltjes2d(g, f, rect, partition=64, tol=spec.tol, doublings=3)
     rhs = corner + edge_x + edge_y + stj.value
 
     left_edge = np.max(np.abs(g(rect.a, rect.ys(64))))
@@ -390,7 +385,7 @@ def byparts_residual(f, g: AcFunction, rect: Rect,
         edge_x_term=float(edge_x),
         edge_y_term=float(edge_y),
         stieltjes_term=float(stj.value),
-        edge_vanishing=bool(max(left_edge, bottom_edge) <= edge_tol),
+        edge_vanishing=bool(max(left_edge, bottom_edge) <= 1e-9),
     )
 
 
@@ -420,14 +415,8 @@ def sum_vs_integral(f, rect: Rect, spec: Optional[QuadratureSpec] = None,
     ns = np.arange(int(c) + 1, int(d) + 1, dtype=float)
     lhs = float(np.asarray(f(ms[:, None], ns[None, :])).sum())
 
-    frac_x = Bin("-", Var("x"), Call("floor", (Var("x"),)))
-    frac_y = Bin("-", Var("y"), Call("floor", (Var("y"),)))
-    sx = as_bivariate(frac_x)
-    sy = as_bivariate(frac_y)
-
-    breaks_x = tuple(float(k) for k in range(int(a) + 1, int(b)))
-    breaks_y = tuple(float(k) for k in range(int(c) + 1, int(d)))
-    spec_b = spec.with_breaks(breaks_x, breaks_y)
+    sx, sy = as_bivariate("x - floor(x)"), as_bivariate("y - floor(y)")
+    spec_b = spec.with_breaks(ms[:-1], ns[:-1])  # every interior integer
 
     t0 = integrate2d(f, rect, spec_b).value
     t1 = integrate2d(lambda x, y: fx(x, y) * sx(x, y), rect, spec_b).value

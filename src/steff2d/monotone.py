@@ -30,8 +30,10 @@ from .expr import (
     BivariateFn,
     Call,
     Num,
+    Unary,
     UnivariateFn,
     Var,
+    _constant,
     as_bivariate,
     as_univariate,
     parse_univariate,
@@ -63,7 +65,10 @@ INDEFINITE = "indefinite"
 def _classify(lo: float, hi: float, tol: float) -> str:
     """Sign class of values ranging over [lo, hi]: monotone2d when all are
     >= -tol, alternating2d when all are <= tol, modular when both hold, and
-    indefinite otherwise."""
+    indefinite otherwise.  A tol that is negative, infinite or NaN, which
+    would let a check pass vacuously, is a ValueError."""
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     nonneg, nonpos = lo >= -tol, hi <= tol
     if nonneg and nonpos:
         return MODULAR
@@ -240,10 +245,7 @@ def catalog(name: str, *params) -> BivariateFn:
             raise CatalogError(f"{text} takes exactly one expression parameter F")
         F = _as_profile(params[0])
         if key == "neg_convex_diff":
-            inner = substitute(F, {"x": Bin("-", _X, _Y)})
-            from .expr import Unary
-
-            return BivariateFn.from_ast(Unary("-", inner))
+            return BivariateFn.from_ast(Unary("-", substitute(F, {"x": Bin("-", _X, _Y)})))
         half = Num(2.0)
         fx = substitute(F, {"x": _X})
         fy = substitute(F, {"x": _Y})
@@ -268,16 +270,12 @@ def _as_number(value) -> float:
     if isinstance(value, (int, float)):
         return float(value)
     try:
-        from .expr import evaluate, free_variables
-
-        ast = parse_univariate(str(value))
-        if free_variables(ast):
-            raise CatalogError(f"expected a numeric parameter, got {value!r}")
-        return evaluate(ast, 0.0)
-    except CatalogError:
-        raise
+        number = _constant(str(value), univariate=True)
     except ValueError as exc:
         raise CatalogError(f"malformed numeric parameter {value!r}: {exc}") from exc
+    if number is None:
+        raise CatalogError(f"expected a numeric parameter, got {value!r}")
+    return number
 
 
 def _as_profile(value):

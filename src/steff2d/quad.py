@@ -226,8 +226,7 @@ def integrate1d(fn, lo: float, hi: float, spec: Optional[QuadratureSpec] = None)
     spec = spec or DEFAULT_SPEC
     if not hi > lo:
         raise ValueError("integration interval must satisfy lo < hi")
-    fn = as_univariate(fn) if isinstance(fn, str) else fn
-    return _adaptive(fn, [_boundaries(lo, hi, spec.cells, spec.breaks_x)], spec)
+    return _adaptive(as_univariate(fn), [_boundaries(lo, hi, spec.cells, spec.breaks_x)], spec)
 
 
 def integrate2d(fn, rect: Rect, spec: Optional[QuadratureSpec] = None) -> QuadResult:
@@ -239,8 +238,7 @@ def integrate2d(fn, rect: Rect, spec: Optional[QuadratureSpec] = None) -> QuadRe
     conservative).  Raises ConvergenceError past spec.max_refine sweeps.
     """
     spec = spec or DEFAULT_SPEC
-    fn = as_bivariate(fn) if isinstance(fn, str) else fn
-    return _adaptive(fn, _rect_boundaries(rect, spec), spec)
+    return _adaptive(as_bivariate(fn), _rect_boundaries(rect, spec), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +342,7 @@ class CumulativePrimitive(_Primitive):
         if orientation not in ("lower", "upper"):
             raise ValueError("orientation must be 'lower' or 'upper'")
         spec = spec or DEFAULT_SPEC
-        w = as_bivariate(w) if not callable(w) or isinstance(w, str) else w
+        w = as_bivariate(w)
         self.rect = rect
         self.orientation = orientation
         self.integrand = w
@@ -462,7 +460,7 @@ class CumulativePrimitive(_Primitive):
 def cumulative(w, rect: Rect, orientation: str = "lower",
                spec: Optional[QuadratureSpec] = None) -> CumulativePrimitive:
     """Cached double primitive of w from the lower-left or upper-right corner."""
-    return CumulativePrimitive(as_bivariate(w), rect, orientation, spec)
+    return CumulativePrimitive(w, rect, orientation, spec)
 
 
 class Antiderivative1D(_Primitive):
@@ -471,7 +469,7 @@ class Antiderivative1D(_Primitive):
 
     def __init__(self, fn, lo: float, hi: float, spec: Optional[QuadratureSpec] = None):
         spec = spec or DEFAULT_SPEC
-        g = as_univariate(fn) if not callable(fn) or isinstance(fn, str) else fn
+        g = as_univariate(fn)
         self.lo, self.hi = lo, hi
         b = _boundaries(lo, hi, spec.cells, spec.breaks_x)
         self._converge(g, [b], spec, (np.linspace(lo, hi, 17),), "1d antiderivative")
@@ -528,12 +526,13 @@ class StieltjesResult(Record):
 
 
 def stieltjes2d(h, f, rect: Rect, partition: int = 64, tol: float = 1e-8,
-                doublings: int = 4, mono_tol: float = 1e-9) -> StieltjesResult:
+                doublings: int = 4) -> StieltjesResult:
     """Integrate h against the rectangle measure of f.
 
     value = sum over cells of h(midpoint) * cell measure of f on a
     partition x partition grid, with the partition doubled until two
-    successive values agree to tol or the doubling limit is reached.
+    successive values agree to tol or the doubling limit is reached.  f is
+    2d-monotone when no cell measure of the last partition is below -1e-9.
     """
     if partition < 1:
         raise ValueError("partition must be >= 1")
@@ -564,7 +563,7 @@ def stieltjes2d(h, f, rect: Rect, partition: int = 64, tol: float = 1e-8,
         n //= 2
     measure = float(_delta(V[np.ix_((0, -1), (0, -1))])[0, 0])
     bound = measure * float(np.max(np.abs(H)))
-    monotone = bool(cells.min() >= -mono_tol)
+    monotone = bool(cells.min() >= -1e-9)
     if not monotone:
         warnings.warn(
             "integrator is not 2d-monotone on the partition; the step-function "
@@ -582,17 +581,16 @@ def stieltjes2d(h, f, rect: Rect, partition: int = 64, tol: float = 1e-8,
 
 
 def stieltjes_vs_riemann(h, f, rect: Rect, spec: Optional[QuadratureSpec] = None,
-                         partition: int = 64, tolerance: float = 1e-6) -> IdentityResidual:
-    """Residual between the Stieltjes sum and the mixed-density Riemann integral.
-
-    Requires f to carry a symbolic mixed partial (expression-backed).
-    """
+                         tolerance: float = 1e-6) -> IdentityResidual:
+    """Residual between the Stieltjes sum from partition 64 and the
+    mixed-density Riemann integral; f must be expression-backed, so that it
+    carries its symbolic mixed partial."""
     f = as_bivariate(f)
     h = as_bivariate(h)
     fxy = f.mixed_partial()
     if fxy is None:
         raise ValueError("integrator must be expression-backed to supply its mixed partial")
-    s = stieltjes2d(h, f, rect, partition=partition, tol=(spec or DEFAULT_SPEC).tol)
+    s = stieltjes2d(h, f, rect, partition=64, tol=(spec or DEFAULT_SPEC).tol)
     r = integrate2d(lambda x, y: h(x, y) * fxy(x, y), rect, spec)
     return IdentityResidual.from_pair(s.value, r.value, tolerance)
 
@@ -655,8 +653,8 @@ def make_mollifier(n: int) -> Mollifier:
 
 
 def _conv_nodes(moll: Mollifier, points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Tensor Gauss grid over the support, sized so the discrete mass is 1
-    # to ~1e-8; zero-weight nodes outside the disk are pruned.
+    # Tensor Gauss grid over the support, sized so the discrete mass is 1 to
+    # 1e-8, else ConvergenceError; zero-weight nodes outside the disk are pruned.
     _, w = _gauss(points)
     r = moll.radius
     for cells in (8, 12, 16, 24, 32, 40):
@@ -671,6 +669,8 @@ def _conv_nodes(moll: Mollifier, points: int) -> tuple[np.ndarray, np.ndarray, n
         mass = float(wconv.sum())
         if abs(mass - 1.0) <= 1e-8:
             break
+    else:
+        raise ConvergenceError(f"mollifier rule mass {mass!r} is not within 1e-8 of 1 at 40 cells")
     nz = wconv != 0.0
     return S.ravel()[nz], T.ravel()[nz], wconv[nz]
 

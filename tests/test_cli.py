@@ -288,6 +288,32 @@ class TestExitCodes:
         assert not out
         assert f"kernel {kernel!r} takes a one-variable profile" in err
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "lemma1", "--f", "floor(2*x)*y", "--rect", "0,1,0,1", "--tol"],
+        ["verify", "thm3", "--f", "x*y-x-y", "--w", "-4*pi^2*sin(4*pi*x)*sin(4*pi*y)",
+         "--rect", "0,1,0,1", "--grid", "2", "--tol"],
+        ["verify", "young1", "--f", "exp(x*y)", "--w", "cos(5*x*y)", "--rect", "0,1,0,1",
+         "--cells", "1", "--points", "2", "--quad-tol", "10", "--tolerance"],
+    ], ids=["lemma1", "thm3", "young1"])
+    def test_tolerance_outside_zero_to_infinity_exits_two(self, argv, tol, capsys):
+        # each check fails at the default tolerance; a negative or NaN --tol made
+        # a hypothesis unreachable and an infinite one met every sign, so lemma1
+        # and thm3 passed vacuously
+        assert invoke(argv[:-1])[0] == EXIT_FAIL
+        code, out, _ = invoke(argv + [tol])
+        assert code == EXIT_USAGE
+        assert not out
+        assert f"argument {argv[-1]}: must be a finite number >= 0" in capsys.readouterr().err
+
+    def test_mollifier_rule_short_of_unit_mass_exits_three(self):
+        # at 2 Gauss points the rule's mass is 1 + 3.2e-7 at every size it tries
+        code, out, err = invoke(["mollify", "--f", "exp(-x-y)", "--rect", "0,1,0,1", "--n", "4",
+                                 "--eval", "0.5,0.5", "--points", "2"])
+        assert code == EXIT_NUMERIC
+        assert not out
+        assert "mollifier rule mass" in err
+
     @pytest.mark.parametrize("check", ["hardy", "steffensen"])
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_no_trials_exits_two(self, check, trials):

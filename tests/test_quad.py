@@ -455,6 +455,17 @@ class TestMollifier:
         with pytest.raises(ValueError):
             make_mollifier(0)
 
+    @pytest.mark.parametrize("points", [2, 3])
+    def test_convolution_rule_short_of_unit_mass_raises(self, points):
+        # at 40 cells the rule's mass is 1 + 3.2e-7 (2 points) and 1 - 2.8e-8 (3 points)
+        with pytest.raises(ConvergenceError, match="mollifier rule mass"):
+            mollify("exp(-x-y)", Rect(0, 1, 0, 1), 4, QuadratureSpec(points=points))
+
+    @pytest.mark.parametrize("n", [1, 4, 100])
+    def test_default_convolution_rule_reaches_unit_mass(self, n):
+        g = mollify("1", Rect(0, 1, 0, 1), n)
+        assert g(0.5, 0.5) == pytest.approx(1.0, abs=1e-8)
+
 
 UNIT = Rect(0, 1, 0, 1)
 

@@ -160,3 +160,17 @@ class TestLemma1Report:
         assert (rep.verdict, rep.mixed_sign) == ("monotone2d", "zero")
         assert not rep.passed
 
+
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("check", [
+    lambda tol: certify("x*y", UNIT, tol=tol),
+    lambda tol: lemma1_check("floor(2*x)*y", UNIT, tol=tol),
+    lambda tol: steffensen_integral("thm3", "x*y-x-y", W_HIDDEN, UNIT, grid=2, tol=tol),
+], ids=["certify", "lemma1", "thm3"])
+def test_a_tol_outside_zero_to_infinity_in_the_sign_rule_raises(check, tol):
+    # lemma1 and thm3 fail at tol 1e-9; a negative or NaN tol made a hypothesis
+    # unreachable and an infinite one met every sign, so they passed vacuously
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        check(tol)
