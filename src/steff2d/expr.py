@@ -9,15 +9,22 @@ recognized.  Evaluation follows IEEE double semantics: out-of-domain
 arguments yield NaN (or a signed infinity) rather than raising, and
 callers are expected to surface non-finite lattice values as domain
 errors.
+
+Each operator and builtin is one row of the table ``_OPS``: its arity,
+the numpy function the interpreter (``evaluate``) applies, the source
+template the compiler emits, and its derivative rule.  The parser, the
+interpreter, the compiler and ``differentiate`` all read that row, so
+adding a builtin means adding one row.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -115,17 +122,66 @@ class Call:
 
 Ast = Union[Num, Var, Unary, Bin, Call]
 
-_FUNCTION_ARITY = {
-    "sin": 1,
-    "cos": 1,
-    "exp": 1,
-    "log": 1,
-    "sqrt": 1,
-    "abs": 1,
-    "floor": 1,
-    "min": 2,
-    "max": 2,
+
+# ---------------------------------------------------------------------------
+# Operators and builtins
+# ---------------------------------------------------------------------------
+
+class _Op(NamedTuple):
+    arity: int
+    numpy: Callable  # what _eval_node applies to the argument values
+    template: str  # the source _emit writes, one {} per argument
+    derivative: object  # rule(args, dargs) -> Ast, or _REFUSE or _ZERO
+
+
+# Derivative markers; differentiate descends into the argument under neither.
+_REFUSE = "refuse"  # NonDifferentiableError
+_ZERO = "zero away from integers"  # Num(0.0) with a FloorDerivativeWarning
+
+_NEG = "u-"  # unary minus; not an identifier, so never parsed as a builtin
+
+
+def _power_rule(args, dargs):
+    # power rule for constant exponents, exp/log form otherwise
+    (a, b), (da, db) = args, dargs
+    if isinstance(b, Num):
+        return _mul(_mul(b, _pow(a, Num(b.value - 1.0))), da)
+    return _mul(_pow(a, b), _add(_mul(db, Call("log", (a,))), _mul(b, _div(da, a))))
+
+
+# The builtins are the identifier keys.  Every arity is 1 or 2: the tree
+# walkers unroll the arguments, so that one tree level costs one stack frame.
+_OPS = {
+    "+": _Op(2, operator.add, "({} + {})", lambda a, da: _add(da[0], da[1])),
+    "-": _Op(2, operator.sub, "({} - {})", lambda a, da: _sub(da[0], da[1])),
+    "*": _Op(2, operator.mul, "({} * {})",
+             lambda a, da: _add(_mul(da[0], a[1]), _mul(a[0], da[1]))),
+    "/": _Op(2, np.divide, "np.divide({}, {})",
+             lambda a, da: _div(_sub(_mul(da[0], a[1]), _mul(a[0], da[1])),
+                                _pow(a[1], Num(2.0)))),
+    "^": _Op(2, np.power, "np.power({}, {})", _power_rule),
+    _NEG: _Op(1, operator.neg, "(-{})", lambda a, da: _neg(da[0])),
+    "sin": _Op(1, np.sin, "np.sin({})", lambda a, da: _mul(Call("cos", a), da[0])),
+    "cos": _Op(1, np.cos, "np.cos({})", lambda a, da: _neg(_mul(Call("sin", a), da[0]))),
+    "exp": _Op(1, np.exp, "np.exp({})", lambda a, da: _mul(Call("exp", a), da[0])),
+    "log": _Op(1, np.log, "np.log({})", lambda a, da: _div(da[0], a[0])),
+    "sqrt": _Op(1, np.sqrt, "np.sqrt({})",
+                lambda a, da: _div(da[0], _mul(Num(2.0), Call("sqrt", a)))),
+    "abs": _Op(1, np.abs, "np.abs({})", _REFUSE),
+    "floor": _Op(1, np.floor, "np.floor({})", _ZERO),
+    "min": _Op(2, np.minimum, "np.minimum({}, {})", _REFUSE),
+    "max": _Op(2, np.maximum, "np.maximum({}, {})", _REFUSE),
 }
+
+
+def _parts(node: Union[Unary, Bin, Call]) -> tuple[str, tuple]:
+    """The _OPS key and the arguments of an operator or call node."""
+    if isinstance(node, Bin):
+        return node.op, (node.lhs, node.rhs)
+    if isinstance(node, Unary):
+        return _NEG, (node.operand,)
+    return node.name, node.args
+
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
@@ -264,7 +320,7 @@ class _Parser:
         self.fail_operand()
 
     def parse_call(self, name: str, off: int) -> tuple[Ast, int]:
-        if name not in _FUNCTION_ARITY:
+        if name not in _OPS:
             raise ParseError(UNKNOWN_IDENTIFIER, off, f"unknown function {name!r}")
         self.expect_op("(")
         self.depth += 1
@@ -278,7 +334,7 @@ class _Parser:
                 break
         self.expect_op(")")
         self.depth -= 1
-        arity = _FUNCTION_ARITY[name]
+        arity = _OPS[name].arity
         if len(args) != arity:
             raise ParseError(
                 ARITY_MISMATCH, off, f"{name} takes {arity} argument(s), got {len(args)}"
@@ -316,40 +372,16 @@ def parse_univariate(src: str) -> Ast:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-_NUMPY_FUNCS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-    "floor": np.floor,
-    "min": np.minimum,
-    "max": np.maximum,
-}
-
-
 def _eval_node(node: Ast, x, y):
     if isinstance(node, Num):
         return np.float64(node.value)
     if isinstance(node, Var):
         return x if node.name == "x" else y
-    if isinstance(node, Unary):
-        return -_eval_node(node.operand, x, y)
-    if isinstance(node, Bin):
-        a = _eval_node(node.lhs, x, y)
-        b = _eval_node(node.rhs, x, y)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return np.divide(a, b)
-        return np.power(a, b)
-    fn = _NUMPY_FUNCS[node.name]
-    return fn(*(_eval_node(arg, x, y) for arg in node.args))
+    key, args = _parts(node)
+    fn = _OPS[key].numpy
+    if len(args) == 1:
+        return fn(_eval_node(args[0], x, y))
+    return fn(_eval_node(args[0], x, y), _eval_node(args[1], x, y))
 
 
 def evaluate(node: Ast, x: float, y: float = 0.0) -> float:
@@ -390,25 +422,13 @@ def _emit(node: Ast, lines: list) -> tuple[str, int]:
         return f"({_literal(node.value)})", 1
     if isinstance(node, Var):
         return node.name, 0
-    if isinstance(node, Unary):
-        a, nesting = _emit(node.operand, lines)
-        code = f"(-{a})"
-    elif isinstance(node, Bin):
-        (a, na), (b, nb) = _emit(node.lhs, lines), _emit(node.rhs, lines)
-        nesting = max(na, nb)
-        if node.op == "^":
-            code = f"np.power({a}, {b})"
-        elif node.op == "/":
-            code = f"np.divide({a}, {b})"
-        else:
-            code = f"({a} {node.op} {b})"
+    key, args = _parts(node)
+    a, nesting = _emit(args[0], lines)
+    if len(args) == 1:
+        code = _OPS[key].template.format(a)
     else:
-        args = [_emit(arg, lines) for arg in node.args]
-        nesting = max(k for _, k in args)
-        fname = {"min": "np.minimum", "max": "np.maximum", "abs": "np.abs"}.get(
-            node.name, f"np.{node.name}"
-        )
-        code = f"{fname}({', '.join(a for a, _ in args)})"
+        b, nb = _emit(args[1], lines)
+        code, nesting = _OPS[key].template.format(a, b), max(nesting, nb)
     if nesting + 1 < _MAX_NESTING:
         return code, nesting + 1
     lines.append(f"t{len(lines)} = {code}")
@@ -552,62 +572,33 @@ def differentiate(node: Ast, var: str) -> Ast:
     """
     if var not in ("x", "y"):
         raise ValueError(f"var must be 'x' or 'y', got {var!r}")
-    return _diff(node, var)
+    variables: dict = {}
+    _free(node, variables)
+    return _diff(node, var, variables)
 
 
-def _diff(node: Ast, var: str) -> Ast:
-    if var not in free_variables(node):
+def _diff(node: Ast, var: str, variables: dict) -> Ast:
+    if var not in variables[id(node)]:
         return Num(0.0)
     if isinstance(node, Var):
-        return Num(1.0 if node.name == var else 0.0)
-    if isinstance(node, Unary):
-        return _neg(_diff(node.operand, var))
-    if isinstance(node, Bin):
-        a, b = node.lhs, node.rhs
-        if node.op == "+":
-            return _add(_diff(a, var), _diff(b, var))
-        if node.op == "-":
-            return _sub(_diff(a, var), _diff(b, var))
-        if node.op == "*":
-            return _add(_mul(_diff(a, var), b), _mul(a, _diff(b, var)))
-        if node.op == "/":
-            num = _sub(_mul(_diff(a, var), b), _mul(a, _diff(b, var)))
-            return _div(num, _pow(b, Num(2.0)))
-        # power rule for constant exponents, exp/log form otherwise
-        da = _diff(a, var)
-        if isinstance(b, Num):
-            return _mul(_mul(b, _pow(a, Num(b.value - 1.0))), da)
-        db = _diff(b, var)
-        inner = _add(_mul(db, Call("log", (a,))), _mul(b, _div(da, a)))
-        return _mul(_pow(a, b), inner)
-    return _diff_call(node, var)
-
-
-def _diff_call(node: Call, var: str) -> Ast:
-    arg = node.args[0]
-    if node.name == "floor":
+        return Num(1.0)
+    key, args = _parts(node)
+    rule = _OPS[key].derivative
+    if rule == _REFUSE:
+        raise NonDifferentiableError(
+            f"{key}() is not differentiable; use a finite-difference fallback"
+        )
+    if rule == _ZERO:
         warnings.warn(
-            "derivative of floor() taken as 0 (valid away from integers)",
+            f"derivative of {key}() taken as 0 (valid away from integers)",
             FloorDerivativeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
         return Num(0.0)
-    if node.name in ("abs", "min", "max"):
-        raise NonDifferentiableError(
-            f"{node.name}() is not differentiable; use a finite-difference fallback"
-        )
-    da = _diff(arg, var)
-    if node.name == "sin":
-        return _mul(Call("cos", (arg,)), da)
-    if node.name == "cos":
-        return _neg(_mul(Call("sin", (arg,)), da))
-    if node.name == "exp":
-        return _mul(Call("exp", (arg,)), da)
-    if node.name == "log":
-        return _div(da, arg)
-    if node.name == "sqrt":
-        return _div(da, _mul(Num(2.0), Call("sqrt", (arg,))))
-    raise NonDifferentiableError(f"no derivative rule for {node.name}()")
+    da = _diff(args[0], var, variables)
+    if len(args) == 1:
+        return rule(args, (da,))
+    return rule(args, (da, _diff(args[1], var, variables)))
 
 
 def substitute(node: Ast, mapping: dict[str, Ast]) -> Ast:
@@ -624,17 +615,19 @@ def substitute(node: Ast, mapping: dict[str, Ast]) -> Ast:
 
 
 def free_variables(node: Ast) -> set[str]:
-    if isinstance(node, Num):
-        return set()
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, Unary):
-        return free_variables(node.operand)
-    if isinstance(node, Bin):
-        return free_variables(node.lhs) | free_variables(node.rhs)
-    out: set[str] = set()
-    for a in node.args:
-        out |= free_variables(a)
+    return set(_free(node, {}))
+
+
+def _free(node: Ast, variables: dict) -> frozenset:
+    """Variables of node; records those of node and of every subtree in
+    variables, keyed by id(), so that a shared subtree is walked once."""
+    out = variables.get(id(node))
+    if out is None:
+        out = frozenset((node.name,)) if isinstance(node, Var) else frozenset()
+        if not isinstance(node, (Num, Var)):
+            for arg in _parts(node)[1]:
+                out |= _free(arg, variables)
+        variables[id(node)] = out
     return out
 
 

@@ -280,9 +280,12 @@ def _as_number(value) -> float:
 
 def _as_profile(value):
     try:
-        return as_univariate(value).ast if not isinstance(value, str) else parse_univariate(value)
+        ast = as_univariate(value).ast if not isinstance(value, str) else parse_univariate(value)
     except ValueError as exc:
         raise CatalogError(f"malformed profile expression {value!r}: {exc}") from exc
+    if ast is None:
+        raise CatalogError(f"profile {value!r} has no expression to compose; pass its text")
+    return ast
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Parser, evaluator, and symbolic-derivative tests."""
 
 import math
+import re
 import sys
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ from hypothesis import strategies as st
 
 from steff2d.expr import (
     MAX_DEPTH,
+    _NEG,
+    _OPS,
     Bin,
     BivariateFn,
     Call,
@@ -39,7 +44,11 @@ SMOOTH_EXPRESSIONS = [
     ("(x+y)^2", (0.1, 0.9)),
     ("sin(x+y)", (0.1, 0.9)),
     ("sqrt(x^2+y^2+1)", (0.1, 0.9)),
+    ("cos(x*y)", (0.1, 0.9)),
+    ("x^y", (0.6, 1.9)),
 ]
+
+BUILTINS = [key for key in _OPS if key.isidentifier()]
 
 
 class TestParsing:
@@ -218,9 +227,8 @@ def _random_ast(rng, depth):
     if roll < 0.75:
         op = rng.choice(["+", "-", "*", "/", "^"])
         return Bin(str(op), _random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
-    name = str(rng.choice(["sin", "cos", "exp", "log", "sqrt", "abs", "floor", "min", "max"]))
-    arity = 2 if name in ("min", "max") else 1
-    return Call(name, tuple(_random_ast(rng, depth - 1) for _ in range(arity)))
+    name = str(rng.choice(BUILTINS))
+    return Call(name, tuple(_random_ast(rng, depth - 1) for _ in range(_OPS[name].arity)))
 
 
 def _same_value(a, b):
@@ -277,6 +285,53 @@ def test_parser_total_on_arbitrary_text(text):
     except ParseError:
         return
     assert parse(to_string(ast)) == ast
+
+
+# ---------------------------------------------------------------------------
+# The operator table: each row is read by the parser, the interpreter, the
+# compiler and the differentiator
+# ---------------------------------------------------------------------------
+
+SPECIAL_VALUES = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 1e-300, 1e300]
+
+
+def _row_source(key):
+    if key == _NEG:
+        return "-x"
+    if not key.isidentifier():
+        return f"x {key} y"
+    return f"{key}({', '.join('xy'[:_OPS[key].arity])})"
+
+
+def _bits(value):
+    return np.float64(value).view(np.uint64)
+
+
+@pytest.mark.parametrize("key", list(_OPS))
+def test_interpreter_and_compiled_code_agree_bitwise_at_special_values(key):
+    src = _row_source(key)
+    ast, f = parse(src), BivariateFn.from_expression(src)
+    for point in product(SPECIAL_VALUES, repeat=_OPS[key].arity):
+        x, y = (*point, 0.0)[:2]
+        assert _bits(evaluate(ast, x, y)) == _bits(f(x, y)), (src, x, y)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_builtins_parse_only_at_their_arity(name):
+    arity = _OPS[name].arity
+    assert parse(f"{name}({', '.join(['x'] * arity)})") == Call(name, (Var("x"),) * arity)
+    for wrong in (arity - 1, arity + 1):
+        if wrong == 0:
+            continue
+        with pytest.raises(ParseError) as exc:
+            parse(f"{name}({', '.join(['x'] * wrong)})")
+        assert exc.value.kind == "arity mismatch"
+
+
+def test_readme_lists_the_builtins_of_the_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"Builtin functions.*?\.\s", readme, flags=re.DOTALL).group(0)
+    assert re.findall(r"`(\w+)`", sentence) == BUILTINS
 
 
 # Expressions exactly at the parser's depth limit, in shapes whose

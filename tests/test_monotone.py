@@ -187,6 +187,13 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             catalog(bad)
 
+    @pytest.mark.parametrize("name,rest", [("midpoint_gap", ()), ("neg_convex_diff", ()),
+                                           ("convex_sum", (1.0,))])
+    def test_callable_profile_is_refused(self, name, rest):
+        # a callable has no AST to compose into the entry's expression
+        with pytest.raises(CatalogError, match="no expression"):
+            catalog(name, lambda t: t, *rest)
+
 
 class TestAcRepresentation:
     def test_pure_density_gives_product(self):
