@@ -28,7 +28,8 @@ closed = ((1 - math.exp(-two_pi)) / 2) ** 2
 print(f"\ndecreasing multiplier: integral {rep.lhs:.7f} (closed form {closed:.7f}) "
       f">= bound {rep.bound:.2e}; hypotheses hold: {rep.hypotheses_hold}")
 
-# The increasing class uses the upper-corner primitive.
+# The increasing class is the decreasing one reflected through the centre of
+# the rectangle: thm3 of f(a+b-x, c+d-y) against w(a+b-x, c+d-y), with f >= 0.
 rep = steffensen_integral("thm4", "x*y", "1", Rect(0, 1, 0, 1))
 print(f"increasing multiplier: integral {rep.lhs:.4f} >= bound {rep.bound:.4f}")
 

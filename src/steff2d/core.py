@@ -36,7 +36,11 @@ class Steff2dError(Exception):
 
 
 class NumericDomainError(Steff2dError):
-    """A function evaluation produced NaN/inf inside the requested domain."""
+    """A sample of the quantity ``what`` was NaN/inf in the domain, first at ``point``."""
+
+    def __init__(self, what: str, point):
+        self.what, self.point = what, tuple(map(float, point))
+        super().__init__(f"{what} is not finite at ({', '.join(map(repr, self.point))})")
 
 
 class ConvergenceError(Steff2dError):
@@ -128,8 +132,7 @@ def _sample(fn, what: str, *coords) -> np.ndarray:
     if not np.isfinite(F).all():
         *grids, F = np.broadcast_arrays(*coords, F)
         k = np.flatnonzero(~np.isfinite(F))[0]
-        point = ", ".join(repr(float(g.flat[k])) for g in grids)
-        raise NumericDomainError(f"{what} is not finite at ({point})")
+        raise NumericDomainError(what, [g.flat[k] for g in grids])
     return F
 
 

@@ -16,6 +16,7 @@ hypotheses is not a bug signal.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -30,13 +31,13 @@ from .monotone import (
     MONOTONE_2D,
     AcFunction,
     MonotonicityReport,
-    _certify,
     _classify,
     certify,
 )
 from .quad import (
     DEFAULT_SPEC,
     QuadratureSpec,
+    _reflected,
     cumulative,
     integrate1d,
     integrate2d,
@@ -65,17 +66,17 @@ def _require_symbolic(f, who: str):
     return f
 
 
-def _boundary_terms(f, G, rect: Rect, spec: QuadratureSpec, upper: bool = False) -> tuple:
+def _boundary_terms(f, G, rect: Rect, spec: QuadratureSpec) -> tuple:
     """Corner and edge terms of 2D integration by parts: (f G at (b, d),
-    -int f_x(., d) G(., d), -int f_y(b, .) G(b, .)), or with upper set the
-    same at (a, c) with plus signs."""
+    -int f_x(., d) G(., d), -int f_y(b, .) G(b, .)).  The edges are sampled as
+    functions of (x, y), so that a non-finite sample is named by its point."""
     a, b, c, d = rect.as_tuple()
-    x0, y0, sign = (a, c, 1.0) if upper else (b, d, -1.0)
     fx, fy = f.symbolic_partial("x"), f.symbolic_partial("y")
     spec_y = spec.with_breaks(spec.breaks_y)  # the y-axis edge integral
-    corner = float(_sample(f, "f", x0, y0)) * float(G(x0, y0))
-    edge_x = sign * integrate1d(lambda t: fx(t, y0) * G(t, y0), a, b, spec).value
-    edge_y = sign * integrate1d(lambda t: fy(x0, t) * G(x0, t), c, d, spec_y).value
+    corner = float(_sample(f, "f", b, d)) * float(G(b, d))
+    gx, gy = (lambda x, y: fx(x, y) * G(x, y)), (lambda x, y: fy(x, y) * G(x, y))
+    edge_x = -integrate1d(lambda t: _sample(gx, "integrand", t, d), a, b, spec).value
+    edge_y = -integrate1d(lambda t: _sample(gy, "integrand", b, t), c, d, spec_y).value
     return corner, edge_x, edge_y
 
 
@@ -113,22 +114,21 @@ def young_residual(variant: str, f, w, rect: Rect,
     young1:  int f w = f(b,d) W(b,d) - int f_x(x,d) W(x,d) dx
              - int W(b,y) f_y(b,y) dy + int int W f_xy,
              with W the primitive from the lower-left corner.
-    young2:  the mirrored form with the upper-right primitive, corner
-             value at (a,c), and plus signs on the edge terms.
+    young2:  the mirrored form with the upper-right primitive, corner value
+             at (a,c), plus signs on the edges: young1 of (f o rho, w o rho).
     """
     if variant not in ("Y1", "Y2", "young1", "young2"):
         raise ValueError("variant must be 'Y1'/'young1' or 'Y2'/'young2'")
     variant = "Y1" if variant in ("Y1", "young1") else "Y2"
     spec = spec or DEFAULT_SPEC
-    f = _require_symbolic(f, "young_residual")
-    w = as_bivariate(w)
-    fxy = f.mixed_partial()
-
-    lhs = integrate2d(lambda x, y: f(x, y) * w(x, y), rect, spec).value
-
-    W = cumulative(w, rect, "upper" if variant == "Y2" else "lower", spec)
-    corner, edge_x, edge_y = _boundary_terms(f, W, rect, spec, upper=variant == "Y2")
-    mixed = integrate2d(lambda x, y: W(x, y) * fxy(x, y), rect, spec).value
+    f, w = _require_symbolic(f, "young_residual"), as_bivariate(w)
+    reflection = _reflected(rect, spec, f, w) if variant == "Y2" else nullcontext((spec, f, w))
+    with reflection as (spec, f, w):
+        fxy = f.mixed_partial()
+        lhs = integrate2d(lambda x, y: f(x, y) * w(x, y), rect, spec).value
+        W = cumulative(w, rect, spec=spec)
+        corner, edge_x, edge_y = _boundary_terms(f, W, rect, spec)
+        mixed = integrate2d(lambda x, y: W(x, y) * fxy(x, y), rect, spec).value
     rhs = corner + edge_x + edge_y + mixed
     return YoungResult(
         variant=variant,
@@ -148,10 +148,10 @@ def young_residual(variant: str, f, w, rect: Rect,
 class TheoremReport(Record):
     """Outcome of one integral sign inequality with hypothesis diagnostics.
 
-    For thm3/thm4 the inequality is lhs >= bound - tol with lhs the
-    integral of f*w; for remark3 both sides are reported negated (the
-    natural orientation of the alternating variant) and the inequality is
-    lhs <= bound + tol.
+    For thm3/thm4 the inequality is lhs >= bound - tol, lhs the integral of
+    f*w; remark3 reports both sides negated (the natural orientation of the
+    alternating variant), lhs <= bound + tol.  monotonicity and f_nonnegative
+    describe the f thm3 is run on: f o rho for thm4, -f for remark3.
     """
 
     theorem: str
@@ -173,18 +173,10 @@ class TheoremReport(Record):
         return self.inequality_holds or not self.hypotheses_hold
 
 
-# theorem -> (orientation of the primitive, sign of the reported orientation)
-_THEOREMS = {"thm3": ("lower", 1.0), "thm4": ("upper", 1.0), "remark3": ("lower", -1.0)}
-
-
 def steffensen_integral(theorem: str, f, w, rect: Rect, grid: int = 32,
                         spec: Optional[QuadratureSpec] = None,
                         margin: float = 0.0, tol: float = 1e-9) -> TheoremReport:
-    """Evaluate one of the three integral sign inequalities.
-
-    All three are one inequality, int f w >= f(x0, y0) P(x0, y0) - tol,
-    with P the primitive of w from the corner (x0, y0); they differ in the
-    hypotheses that make it hold:
+    """Evaluate one of the three integral sign inequalities, each as thm3.
 
     thm3:    f 2d-monotone with decreasing top/right edges, primitive
              W >= 0 from the lower-left corner; then int f w >= f(b,d) W(b,d).
@@ -193,45 +185,42 @@ def steffensen_integral(theorem: str, f, w, rect: Rect, grid: int = 32,
     remark3: f 2d-alternating with increasing top/right edges, W <= 0;
              reported in the negated orientation
              int f(-w) <= f(b,d) (-W(b,d)) + tol.
+
+    thm4 is thm3 of (f o rho, w o rho) plus f >= 0, for the point reflection
+    rho(x, y) = (a+b-x, c+d-y), and remark3 is thm3 of (-f, -w).
     """
-    if theorem not in _THEOREMS:
+    if theorem not in ("thm3", "thm4", "remark3"):
         raise ValueError("theorem must be 'thm3', 'thm4', or 'remark3'")
-    orientation, sign = _THEOREMS[theorem]
     spec = spec or DEFAULT_SPEC
-    f = as_bivariate(f)
-    w = as_bivariate(w)
+    f, w = as_bivariate(f), as_bivariate(w)
+    if theorem == "remark3":
+        f, w = (BivariateFn.from_callable(lambda x, y, g=g: -g(x, y)) for g in (f, w))
     r = rect.shrink(margin) if margin else rect
-    a, b, c, d = r.as_tuple()
+    reflection = _reflected(r, spec, f, w) if theorem == "thm4" else nullcontext((spec, f, w))
+    with reflection as (spec, f, w):
+        report = certify(f, r, grid=grid, tol=tol)
+        lhs = integrate2d(lambda x, y: f(x, y) * w(x, y), r, spec).value
+        W = cumulative(w, r, spec=spec)
+        extr = W.lattice_extrema(grid)
+        bound = float(_sample(f, "f", r.b, r.d)) * W(r.b, r.d)
 
-    report, scan = _certify(f, r, grid=grid, tol=tol)
-    lhs_fw = integrate2d(lambda x, y: f(x, y) * w(x, y), r, spec).value
-    P = cumulative(w, r, orientation, spec)
-    extr = P.lattice_extrema(grid)
-    x0, y0 = (a, c) if orientation == "upper" else (b, d)
-    corner = float(_sample(f, "f", x0, y0)) * P(x0, y0)
-
-    # nonnegative for thm3/thm4, nonpositive for remark3
-    primitive_ok = extr.minimum >= -tol if sign > 0 else extr.maximum <= tol
-    mono_ok = report.min_measure >= -tol if sign > 0 else report.max_measure <= tol
-    if theorem == "thm3":
-        edge_ok = report.edge_top_decreasing and report.edge_right_decreasing
-    elif theorem == "thm4":
-        edge_ok = report.edge_bottom_increasing and report.edge_left_increasing
-    else:  # increasing top and right edges, read from the certified lattice
-        edge_ok = bool(np.all(np.diff(scan.top) >= -tol) and np.all(np.diff(scan.right) >= -tol))
-    hyp = mono_ok and edge_ok and primitive_ok and (theorem != "thm4" or report.nonnegative)
-
+    edge_ok = report.edge_top_decreasing and report.edge_right_decreasing
+    primitive_ok = extr.minimum >= -tol
+    hyp = (report.min_measure >= -tol and edge_ok and primitive_ok
+           and (theorem != "thm4" or report.nonnegative))
+    sign = -1.0 if theorem == "remark3" else 1.0  # remark3 reports (f, w), not (-f, -w)
+    low, high = sorted(sign * v + 0.0 for v in (extr.minimum, extr.maximum))  # never -0.0
     return TheoremReport(
         theorem=theorem,
-        lhs=float(sign * lhs_fw),
-        bound=float(sign * corner),
+        lhs=float(sign * lhs),
+        bound=float(sign * bound),
         tol=tol,
-        inequality_holds=bool(lhs_fw >= corner - tol),
+        inequality_holds=bool(lhs >= bound - tol),
         monotonicity=report,
         f_nonnegative=report.nonnegative,
         edge_hypothesis=bool(edge_ok),
-        primitive_min=extr.minimum,
-        primitive_max=extr.maximum,
+        primitive_min=low,
+        primitive_max=high,
         primitive_ok=bool(primitive_ok),
         hypotheses_hold=bool(hyp),
     )

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Record, Rect, Scan, _delta, _sample, _scan
+from .core import Record, Rect, _delta, _sample, _scan
 from .expr import (
     Bin,
     BivariateFn,
@@ -104,8 +104,8 @@ class MonotonicityReport(Record):
     "alternating2d" iff the maximum is <= tol, "modular" when both hold,
     and "indefinite" otherwise.  The edge flags report lattice
     monotonicity of f along the four boundary edges (decreasing on the
-    top/right edges, increasing on the bottom/left edges), which is what
-    the integral inequality checkers consume.
+    top/right edges, increasing on the bottom/left edges); steffensen_integral
+    reads the top/right ones, of f, of f o rho (thm4) or of -f (remark3).
     """
 
     verdict: str
@@ -139,12 +139,6 @@ def certify(f, domain: Rect, grid: int = 32, tol: float = 1e-9,
     boundary, such as log(x^2+y^2) near the origin, can still be
     certified on the half-open domain they live on.
     """
-    return _certify(f, domain, grid, tol, margin)[0]
-
-
-def _certify(f, domain: Rect, grid: int = 32, tol: float = 1e-9,
-             margin: Optional[float] = None) -> tuple[MonotonicityReport, Scan]:
-    """certify, and the lattice scan its report was read from."""
     if grid < 2:
         raise ValueError("grid must be >= 2")
     f = as_bivariate(f)
@@ -159,7 +153,7 @@ def _certify(f, domain: Rect, grid: int = 32, tol: float = 1e-9,
         i, j = idx
         return Rect(float(xs[i]), float(xs[i + 1]), float(ys[j]), float(ys[j + 1]))
 
-    report = MonotonicityReport(
+    return MonotonicityReport(
         verdict=_classify(cells.min, cells.max, tol),
         min_measure=cells.min,
         max_measure=cells.max,
@@ -176,7 +170,6 @@ def _certify(f, domain: Rect, grid: int = 32, tol: float = 1e-9,
         nonnegative=bool(scan.values.min >= -tol),
         f_min=scan.values.min,
     )
-    return report, scan
 
 
 # ---------------------------------------------------------------------------

@@ -30,14 +30,16 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import ConvergenceError, IdentityResidual, Record, Rect, _delta, _sample
-from .expr import BivariateFn, as_bivariate, as_univariate
+from .core import (ConvergenceError, IdentityResidual, NumericDomainError, Record, Rect, _delta,
+                   _sample)
+from .expr import BivariateFn, Bin, Num, Var, as_bivariate, as_univariate, substitute
 
 __all__ = [
     "QuadratureSpec",
@@ -123,6 +125,32 @@ def _q_values(xi: np.ndarray, points: int) -> np.ndarray:
     for n in range(1, points):
         Q[..., n] = (P[n + 1] - P[n - 1]) / (2 * n + 1)
     return Q
+
+
+def _rho(rect: Rect, x, y):
+    """The point reflection rho(x, y) = (a+b-x, c+d-y) of rect."""
+    return rect.a + (rect.b - x), rect.c + (rect.d - y)
+
+
+@contextmanager
+def _reflected(rect: Rect, spec: QuadratureSpec, *fns):
+    """Yields spec with its breaks reflected by _rho, then each BivariateFn f of
+    fns as f o rho (an expression substituted, keeping its symbolic partials; a
+    callable wrapped).  A NumericDomainError in the block at p is raised again
+    at rho(p), the point that the caller's function received."""
+
+    def reflect(f):
+        if f.ast is None:
+            return BivariateFn.from_callable(lambda x, y: f(*_rho(rect, x, y)))
+        return BivariateFn.from_ast(substitute(f.ast, {
+            "x": Bin("+", Num(float(rect.a)), Bin("-", Num(float(rect.b)), Var("x"))),
+            "y": Bin("+", Num(float(rect.c)), Bin("-", Num(float(rect.d)), Var("y")))}))
+
+    spec = spec.with_breaks(*_rho(rect, np.array(spec.breaks_x), np.array(spec.breaks_y)))
+    try:
+        yield (spec, *map(reflect, fns))
+    except NumericDomainError as exc:
+        raise NumericDomainError(exc.what, _rho(rect, *exc.point)) from None
 
 
 def _boundaries(lo: float, hi: float, cells: int, breaks: Sequence[float]) -> np.ndarray:
@@ -333,8 +361,8 @@ class CumulativePrimitive(_Primitive):
     Orientation "lower" integrates over [a, x] x [c, y] (vanishing on the
     left/bottom edges); "upper" over [x, b] x [y, d] (vanishing on the
     right/top edges).  The upper orientation is realized as the lower
-    primitive of the point-reflected integrand, so both orientations
-    vanish exactly on their base edges.
+    primitive of the point-reflected integrand and breaks (_reflected),
+    so both orientations vanish exactly on their base edges.
     """
 
     def __init__(self, w, rect: Rect, orientation: str = "lower",
@@ -346,18 +374,12 @@ class CumulativePrimitive(_Primitive):
         self.rect = rect
         self.orientation = orientation
         self.integrand = w
-        if orientation == "lower":
-            fn = w
-        else:
-            a, b, c, d = rect.as_tuple()
-
-            def fn(u, v):
-                return w(a + (b - u), c + (d - v))
-
         Xg, Yg = np.meshgrid(np.linspace(rect.a, rect.b, 9), np.linspace(rect.c, rect.d, 9),
                              indexing="ij")
-        self._converge(fn, _rect_boundaries(rect, spec), spec, (Xg.ravel(), Yg.ravel()),
-                       "cumulative primitive")
+        upper = orientation == "upper"
+        with _reflected(rect, spec, w) if upper else nullcontext((spec, w)) as (spec, fn):
+            self._converge(fn, _rect_boundaries(rect, spec), spec, (Xg.ravel(), Yg.ravel()),
+                           "cumulative primitive")
 
     def _build(self, fn: Callable, boundaries: list):
         p = self.points
@@ -421,10 +443,7 @@ class CumulativePrimitive(_Primitive):
         return out
 
     def _oriented(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.orientation == "upper":
-            a, b, c, d = self.rect.as_tuple()
-            return a + (b - x), c + (d - y)
-        return x, y
+        return _rho(self.rect, x, y) if self.orientation == "upper" else (x, y)
 
     def __call__(self, x, y):
         xs = np.asarray(x, dtype=float)

@@ -61,6 +61,9 @@ SAMPLE_SITES = {
     "integrate1d": (lambda: integrate1d("log(t - 0.5)", 0, 1), as_univariate("log(t - 0.5)")),
     "integrate2d": (lambda: integrate2d(LOG_X, UNIT), as_bivariate(LOG_X)),
     "cumulative": (lambda: cumulative("log(y - 0.5)", UNIT), as_bivariate("log(y - 0.5)")),
+    # the upper primitive samples the reflected integrand; the point is the caller's
+    "cumulative upper": (lambda: cumulative("log(y - 0.5)", UNIT, "upper"),
+                         as_bivariate("log(y - 0.5)")),
     "Antiderivative1D": (lambda: Antiderivative1D("log(t - 0.5)", 0, 1),
                          as_univariate("log(t - 0.5)")),
     "stieltjes2d integrator": (lambda: stieltjes2d("x*y", LOG_X, UNIT, partition=8),
@@ -87,6 +90,13 @@ SAMPLE_SITES = {
     "young_residual corner": (
         lambda: young_residual("young2", "x*y + 0*log(x^2+y^2)", "1", UNIT),
         as_bivariate("x*y + 0*log(x^2+y^2)")),
+    # f_x = y/(2 sqrt(x*y)) is 0/0 on the young2 edge y = c; the edge names (x, c)
+    "young_residual edge": (lambda: young_residual("young2", "sqrt(x*y)", "1", UNIT),
+                            as_bivariate("sqrt(x*y)").symbolic_partial("x")),
+    # a callable f is reflected by wrapping; log 0 at the thm4 corner (a, c) only
+    "steffensen_integral callable": (
+        lambda: steffensen_integral("thm4", lambda x, y: np.log(x * x + y * y), "1", UNIT),
+        as_bivariate(lambda x, y: np.log(x * x + y * y))),
 }
 
 

@@ -152,6 +152,22 @@ class TestCumulative:
         with pytest.raises(ValueError):
             cumulative("1", Rect(0, 1, 0, 1), "sideways")
 
+    def test_upper_primitive_aligns_its_cells_with_the_breaks(self):
+        # floor(2x) jumps at the breaks 0.5 and 1; the upper primitive integrates
+        # the reflected integrand, whose jumps sit at 0.8 and 0.3, so its cells
+        # must align with the reflected breaks
+        spec = QuadratureSpec().with_breaks(breaks_x=(0.5, 1.0))
+        W = cumulative("floor(2*x)", Rect(0, 1.3, 0, 1), "upper", spec)
+        xs, ys = np.linspace(0, 1.3, 27), np.linspace(0, 1, 5)
+
+        def exact(x, y):  # int_x^1.3 floor(2s) ds * int_y^1 dt
+            return (np.maximum(1.0 - np.maximum(x, 0.5), 0.0)
+                    + 2 * (1.3 - np.maximum(x, 1.0))) * (1.0 - y)
+
+        got = W(xs[:, None], ys[None, :])
+        assert np.max(np.abs(got - exact(xs[:, None], ys[None, :]))) <= 1e-13
+        assert W.total == pytest.approx(1.1, abs=1e-13)
+
 
 class TestPrimitiveExactness:
     """Polynomials of degree below spec.points per axis are integrated exactly,
