@@ -402,7 +402,7 @@ def sum_vs_integral(f, rect: Rect, spec: Optional[QuadratureSpec] = None,
 
     ms = np.arange(int(a) + 1, int(b) + 1, dtype=float)
     ns = np.arange(int(c) + 1, int(d) + 1, dtype=float)
-    lhs = float(np.asarray(f(ms[:, None], ns[None, :])).sum())
+    lhs = float(_sample(f, "f", ms[:, None], ns[None, :]).sum())
 
     sx, sy = as_bivariate("x - floor(x)"), as_bivariate("y - floor(y)")
     spec_b = spec.with_breaks(ms[:-1], ns[:-1])  # every interior integer

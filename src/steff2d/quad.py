@@ -17,13 +17,9 @@ polynomials, W(x, y) = qx . T[ix, iy] . qy: entry (0, 0) is W at the
 cell's lower-left corner, row and column 0 are its strips, the rest its
 Legendre coefficients times the cell half-widths.  q is (1, 0, ..., 0) at
 a cell's left end and T's row 0 is zero in the first x cells (column 0 in
-the first y cells), so W is exactly zero on its base edges.  Scattered
-points cost one contraction each.  A line (one coordinate a scalar, as in
-the edge integrals of the by-parts checks) contracts the scalar's row into
-T, which leaves a 1-D primitive, read out like Antiderivative1D.  An
-outer-product call (x of shape (n, 1), y of shape (1, m)), as from
-stieltjes2d and lattice_extrema, builds q once per axis, contracts the x
-rows against T, and then takes one matmul per run of columns in one y cell.
+the first y cells), so W is exactly zero on its base edges.  One rule,
+_primitive_rows, builds T from the Gauss samples: 1-D rows along x, and
+then rows along y of those, about 2 nx ny p^3 multiply-adds per level.
 """
 
 from __future__ import annotations
@@ -248,12 +244,17 @@ def _adaptive(fn: Callable, boundaries: list, spec: QuadratureSpec) -> QuadResul
     )
 
 
+def _interval(lo: float, hi: float):
+    """Refuses an interval that is not finite with lo < hi."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError("integration interval must be finite with lo < hi")
+
+
 def integrate1d(fn, lo: float, hi: float, spec: Optional[QuadratureSpec] = None) -> QuadResult:
     """Adaptive composite Gauss-Legendre integral over [lo, hi] (either axis:
     the cells align with spec.breaks_x)."""
     spec = spec or DEFAULT_SPEC
-    if not hi > lo:
-        raise ValueError("integration interval must satisfy lo < hi")
+    _interval(lo, hi)
     return _adaptive(as_univariate(fn), [_boundaries(lo, hi, spec.cells, spec.breaks_x)], spec)
 
 
@@ -319,6 +320,17 @@ def _rows(R: np.ndarray, b: np.ndarray, h: np.ndarray, t: np.ndarray, points: in
     return out
 
 
+def _primitive_rows(F: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Primitive rows of samples F (cells of widths h, ..., Gauss nodes): entry 0
+    is the integral over the earlier cells, 2 * their entry 1 (q = (1, 2, 0, ...)
+    at a right end), the rest the Legendre coefficients times the half-width."""
+    p = F.shape[-1]
+    R = np.zeros(F.shape[:-1] + (p + 1,))
+    R[..., 1:] = 0.5 * h.reshape((-1,) + (1,) * (F.ndim - 1)) * (F @ _legendre_matrix(p).T)
+    R[1:, ..., 0] = 2 * R[:-1, ..., 1].cumsum(axis=0)
+    return R
+
+
 class _Primitive:
     """Build -> probe -> halve loop shared by the 1D and 2D primitives.
 
@@ -373,7 +385,6 @@ class CumulativePrimitive(_Primitive):
         w = as_bivariate(w)
         self.rect = rect
         self.orientation = orientation
-        self.integrand = w
         Xg, Yg = np.meshgrid(np.linspace(rect.a, rect.b, 9), np.linspace(rect.c, rect.d, 9),
                              indexing="ij")
         upper = orientation == "upper"
@@ -382,22 +393,14 @@ class CumulativePrimitive(_Primitive):
                            "cumulative primitive")
 
     def _build(self, fn: Callable, boundaries: list):
-        p = self.points
-        bx, by = boundaries
-        self.bx, self.by = bx, by
+        self.bx, self.by = bx, by = boundaries
         self.hx, self.hy = hx, hy = np.diff(bx), np.diff(by)
-        X, _ = _nodes(bx[:-1], bx[1:], p)
-        Y, _ = _nodes(by[:-1], by[1:], p)
+        X, _ = _nodes(bx[:-1], bx[1:], self.points)
+        Y, _ = _nodes(by[:-1], by[1:], self.points)
         F = _sample(fn, "cumulative integrand", X[:, :, None, None], Y[None, None, :, :])
-        M = _legendre_matrix(p)
-        # row and column 0 of a cell: W on its lower and left edges, which is W
-        # on the far edges of the cells before it, where q = (1, 2, 0, ..., 0)
-        T = np.zeros((hx.size, hy.size, p + 1, p + 1))
-        T[:, :, 1:, 1:] = (np.einsum("na,iajb,mb->ijnm", M, F, M)
-                           * (0.25 * hx[:, None] * hy[None, :])[:, :, None, None])
-        T[1:, :, 0, 1:] = 2 * T[:-1, :, 1, 1:].cumsum(axis=0)
-        T[:, 1:, :, 0] = 2 * T[:, :-1, :, 1].cumsum(axis=1)
-        self.T = T
+        # rows along x of (x cell, y cell, y node, x node), then along y of those
+        R = _primitive_rows(F.transpose(0, 2, 3, 1), hx).transpose(1, 0, 3, 2)
+        self.T = T = np.ascontiguousarray(_primitive_rows(R, hy).transpose(1, 0, 2, 3))
         c = T[-1, -1]  # W(b, d), where both rows are (1, 2, 0, ..., 0)
         self.total = float(c[0, 0] + 2 * (c[1, 0] + c[0, 1]) + 4 * c[1, 1])
 
@@ -488,6 +491,7 @@ class Antiderivative1D(_Primitive):
 
     def __init__(self, fn, lo: float, hi: float, spec: Optional[QuadratureSpec] = None):
         spec = spec or DEFAULT_SPEC
+        _interval(lo, hi)
         g = as_univariate(fn)
         self.lo, self.hi = lo, hi
         b = _boundaries(lo, hi, spec.cells, spec.breaks_x)
@@ -497,12 +501,7 @@ class Antiderivative1D(_Primitive):
         (b,) = boundaries
         self.b, self.h = b, np.diff(b)
         X, _ = _nodes(b[:-1], b[1:], self.points)
-        F = _sample(g, "antiderivative integrand", X)
-        # T[i, 0] = W at the cell's left end, as in CumulativePrimitive._build
-        T = np.zeros((self.h.size, self.points + 1))
-        T[:, 1:] = 0.5 * self.h[:, None] * (F @ _legendre_matrix(self.points).T)
-        T[1:, 0] = 2 * T[:-1, 1].cumsum()
-        self.T = T
+        self.T = T = _primitive_rows(_sample(g, "antiderivative integrand", X), self.h)
         self.total = float(T[-1, 0] + 2 * T[-1, 1])  # W(hi), where q = (1, 2, 0, ..., 0)
 
     def _eval(self, x: np.ndarray) -> np.ndarray:

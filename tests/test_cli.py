@@ -345,9 +345,12 @@ class TestExitCodes:
         (["verify", "lemma1", "--f", "y*sqrt(x^2)", "--rect", "-1,1,-1,1"], "mixed partial"),
         (["mollify", "--f", "log(x-0.5)", "--rect", "0,1,0,1", "--n", "4",
           "--eval", "0.2,0.2"], "mollified value"),
-    ], ids=["lemma1", "mollify"])
+        # f(1, 1) is 0/0 on the lattice of the corollary's sum
+        (["verify", "corollary", "--f", "sin(x-1)/(x-1)", "--rect", "0,2,0,2"], "f"),
+    ], ids=["lemma1", "mollify", "corollary"])
     def test_nonfinite_sample_exits_three(self, command, quantity):
-        # both used to exit 0 with pass: true and a null result
+        # lemma1 and mollify used to exit 0 with pass: true and a null result,
+        # corollary to exit 1 with lhs null
         code, out, err = invoke(command)
         assert code == EXIT_NUMERIC
         assert not out

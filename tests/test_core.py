@@ -21,7 +21,7 @@ from steff2d.core import (
     _scan,
 )
 from steff2d.expr import as_bivariate, as_univariate
-from steff2d.ineq import lemma1_check, steffensen_integral, young_residual
+from steff2d.ineq import lemma1_check, steffensen_integral, sum_vs_integral, young_residual
 from steff2d.monotone import catalog, certify, f_measure
 from steff2d.quad import Antiderivative1D, cumulative, integrate1d, integrate2d, stieltjes2d
 
@@ -97,6 +97,9 @@ SAMPLE_SITES = {
     "steffensen_integral callable": (
         lambda: steffensen_integral("thm4", lambda x, y: np.log(x * x + y * y), "1", UNIT),
         as_bivariate(lambda x, y: np.log(x * x + y * y))),
+    # 0/0 at the lattice point (1, 1) of the corollary's sum only
+    "sum_vs_integral lattice": (lambda: sum_vs_integral("sin(x-1)/(x-1)", Rect(0, 2, 0, 2)),
+                                as_bivariate("sin(x-1)/(x-1)")),
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import MONOTONE_CATALOG, random_h_expression
 from steff2d.core import ConvergenceError, NumericDomainError, Rect
-from steff2d.expr import BivariateFn
+from steff2d.expr import BivariateFn, as_bivariate, as_univariate
 from steff2d.monotone import catalog, certify, from_ac
 from steff2d.quad import (
     Antiderivative1D,
@@ -21,7 +21,7 @@ from steff2d.quad import (
     stieltjes2d,
     stieltjes_vs_riemann,
 )
-from steff2d.quad import _q_values
+from steff2d.quad import _legendre_matrix, _nodes, _q_values
 
 
 class TestIntegrate2d:
@@ -253,6 +253,43 @@ class TestAntiderivativeReadout:
         assert G(G.lo) == 0.0 and G(np.array(G.lo)) == 0.0
         assert np.all(G(np.full((5, 1), G.lo)) == 0.0)
         assert np.all(G(big)[[0, 1 << 16, 2 * (1 << 16) + 7]] == 0.0)
+
+
+class TestPrimitiveBuild:
+    """Both primitives build T by one rule: Antiderivative1D's T is the explicit
+    1-D formula bit for bit, and W's T, the 1-D rows along x and then along y, is
+    the contraction of both node axes at once up to rounding."""
+
+    def test_antiderivative_is_the_1d_formula(self):
+        spec = QuadratureSpec().with_breaks(breaks_x=(-0.9, 0.3, 0.35))
+        g = as_univariate("exp(-t)*cos(3*t) + t")
+        G = Antiderivative1D(g, -1.0, 2.0, spec)
+        X, _ = _nodes(G.b[:-1], G.b[1:], G.points)
+        T = np.zeros((G.h.size, G.points + 1))
+        T[:, 1:] = 0.5 * G.h[:, None] * (g(X) @ _legendre_matrix(G.points).T)
+        T[1:, 0] = 2 * T[:-1, 1].cumsum()
+        assert G.T.shape == T.shape and G.T.tobytes() == T.tobytes()
+
+    @pytest.mark.parametrize("points", [4, 8])
+    def test_cumulative_is_the_full_contraction(self, points):
+        # non-uniform cells, more in y than in x, and an integrand symmetric in
+        # neither the axes nor the cell's node order
+        spec = QuadratureSpec(points=points, tol=1e-6).with_breaks(breaks_x=(0.3, 1.1),
+                                                                   breaks_y=(0.9, 1.05, 1.3))
+        w = as_bivariate("exp(-x)*cos(3*y) + x*y^2")
+        W = cumulative(w, Rect(-0.5, 2.0, 0.25, 1.75), spec=spec)
+        nx, ny, p = W.hx.size, W.hy.size, points
+        assert nx != ny and np.ptp(W.hx) > 1e-3 and np.ptp(W.hy) > 1e-3
+        (X, _), (Y, _) = _nodes(W.bx[:-1], W.bx[1:], p), _nodes(W.by[:-1], W.by[1:], p)
+        F = w(X[:, :, None, None], Y[None, None, :, :])
+        M = _legendre_matrix(p)
+        T = np.zeros((nx, ny, p + 1, p + 1))
+        T[:, :, 1:, 1:] = (np.einsum("na,iajb,mb->ijnm", M, F, M)
+                           * (0.25 * W.hx[:, None] * W.hy[None, :])[:, :, None, None])
+        T[1:, :, 0, 1:] = 2 * T[:-1, :, 1, 1:].cumsum(axis=0)
+        T[:, 1:, :, 0] = 2 * T[:, :-1, :, 1].cumsum(axis=1)
+        assert W.T.shape == T.shape and W.T.flags.c_contiguous
+        assert np.max(np.abs(W.T - T)) <= 1e-15 * np.max(np.abs(T))
 
 
 def assert_lattice_matches_pointwise(fn, xs, ys):
@@ -496,6 +533,17 @@ def test_active_cell_cap_raises(build):
     build(QuadratureSpec())  # converges under the default cap
     with pytest.raises(ConvergenceError):
         build(QuadratureSpec(max_cells=16))
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 0), (0, 0), (0, math.nan), (0, math.inf),
+                                    (-math.inf, 0)])
+@pytest.mark.parametrize("build", [integrate1d, Antiderivative1D],
+                         ids=["integrate1d", "Antiderivative1D"])
+def test_interval_must_be_finite_and_increasing(build, lo, hi):
+    # Antiderivative1D read (1, 0) as [0, 1] and raised IndexError on (0, 0) and
+    # (0, nan); integrate1d ran (0, inf) through every sweep into ConvergenceError
+    with pytest.raises(ValueError, match=r"finite with lo < hi"):
+        build("1", lo, hi)
 
 
 class TestQuadratureSpec:
