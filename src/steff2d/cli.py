@@ -30,7 +30,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -47,6 +47,7 @@ from .discrete import (
 )
 from .expr import ParseError, _constant
 from .ineq import (
+    _KERNELS,
     byparts_residual,
     fourier_check,
     lemma1_check,
@@ -75,14 +76,16 @@ def _number(text: str) -> float:
     return value
 
 
-def _tolerance(text: str) -> float:
-    """A --tol or --tolerance value: finite and not negative, see monotone._classify."""
+def _tolerance(text: str, zero: bool = True) -> float:
+    """A --tol or --tolerance value: finite and not negative, see monotone._classify.
+    With zero false, a --quad-tol value: finite and positive, as QuadratureSpec needs."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    if not (0 <= value < math.inf and (zero or value > 0)):
+        bound = ">= 0" if zero else "> 0"
+        raise argparse.ArgumentTypeError(f"must be a finite number {bound}, got {text!r}")
     return value
 
 
@@ -322,7 +325,7 @@ _FLAGS = {
     "--g1": {"help": "x-edge density of g"},
     "--g2": {"help": "y-edge density of g"},
     "--g0": {"type": float, "default": 0.0, "help": "g at the lower-left corner"},
-    "--kernel": {"required": True, "choices": ["sinsin2d", "coscos2d", "cos1d", "sin1d"]},
+    "--kernel": {"required": True, "choices": list(_KERNELS)},
     "--grid": {"type": int, "default": 32},
     "--tol": {"type": _tolerance, "default": 1e-9},
     "--tolerance": {"type": _tolerance, "default": 1e-6},
@@ -335,7 +338,8 @@ _FLAGS = {
     "--q": {"type": int, "default": 5},
     "--trials": {"type": int, "default": 100},
     "--seed": {"type": int, "default": 42},
-    "--quad-tol": {"type": float, "default": DEFAULT_SPEC.tol, "help": "quadrature tolerance"},
+    "--quad-tol": {"type": partial(_tolerance, zero=False), "default": DEFAULT_SPEC.tol,
+                   "help": "quadrature tolerance"},
     "--cells": {"type": int, "default": DEFAULT_SPEC.cells, "help": "coarsest cells per axis"},
     "--points": {"type": int, "default": DEFAULT_SPEC.points,
                  "help": "Gauss points per cell per axis"},

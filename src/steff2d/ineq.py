@@ -260,61 +260,56 @@ def _profile_shape(F, lo: float, hi: float) -> tuple[bool, bool]:
     return monotone, convex
 
 
+_TWO_PI = 2.0 * math.pi
+_SQUARE = Rect(0.0, _TWO_PI, 0.0, _TWO_PI)
+# One row per kernel: the span its one-variable profile is sampled on (None for
+# coscos2d, whose f takes two variables), its integrand of f at indices (m, n),
+# its integrator, and the sign its theorem claims.  coscos2d's rests on f_xxyy >= 0:
+# int f cos(mx) cos(ny) = (mn)^-2 int f_xxyy (1 - cos mx)(1 - cos ny) over _SQUARE.
+_KERNELS = {
+    "sinsin2d": (4.0 * math.pi,
+                 lambda F, m, n: lambda x, y: F(x + y) * np.sin(m * x) * np.sin(n * y),
+                 lambda g, spec: integrate2d(g, _SQUARE, spec), "nonnegative"),
+    "coscos2d": (None, lambda G, m, n: lambda x, y: G(x, y) * np.cos(m * x) * np.cos(n * y),
+                 lambda g, spec: integrate2d(g, _SQUARE, spec), "nonnegative"),
+    "cos1d": (_TWO_PI, lambda F, m, n: lambda t: F(t) * np.cos(n * t),
+              lambda g, spec: integrate1d(g, 0.0, _TWO_PI, spec), "nonnegative"),
+    "sin1d": (_TWO_PI, lambda F, m, n: lambda t: F(t) * np.sin(n * t),
+              lambda g, spec: integrate1d(g, 0.0, _TWO_PI, spec), "unconstrained"),
+}
+
+
 def fourier_check(kernel: str, f, m: int = 1, n: int = 1,
                   spec: Optional[QuadratureSpec] = None) -> FourierCheck:
     """Integrate f against a sin/cos kernel and compare against its sign claim.
 
     Kernels: "sinsin2d" integrates f(s+t) sin(ms) sin(nt) over [0, 2pi]^2
     for univariate f on [0, 4pi] (sign claim: nonnegative for monotone
-    convex f); "coscos2d" integrates a bivariate convex f against
-    cos(mx) cos(ny) (nonnegative); "cos1d" and "sin1d" are the classical
-    one-variable integrals over [0, 2pi] indexed by n (cos: nonnegative
-    for convex f; sin: unconstrained).  A nonnegative value is one >= -1e-8.
+    convex f); "coscos2d" a bivariate f against cos(mx) cos(ny) (nonnegative
+    for f_xxyy >= 0, which is not checked); "cos1d" and "sin1d" the classical
+    one-variable integrals over [0, 2pi] indexed by n (cos: nonnegative for
+    convex f; sin: unconstrained).  A nonnegative value is one >= -1e-8.
     """
-    if kernel not in ("sinsin2d", "coscos2d", "cos1d", "sin1d"):
+    if kernel not in _KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
     if m < 1 or n < 1:
         raise ValueError("kernel indices m, n must be positive integers")
-    if kernel == "coscos2d" and isinstance(f, UnivariateFn):
-        raise ValueError("kernel 'coscos2d' takes a two-variable integrand, not a "
-                         "one-variable function")
-    if kernel != "coscos2d" and isinstance(f, BivariateFn):
-        raise ValueError(f"kernel {kernel!r} takes a one-variable profile, not a "
-                         "bivariate function")
+    span, integrand, integrate, expected = _KERNELS[kernel]
+    if isinstance(f, BivariateFn if span else UnivariateFn):
+        takes = ("one-variable profile, not a bivariate function" if span
+                 else "two-variable integrand, not a one-variable function")
+        raise ValueError(f"kernel {kernel!r} takes a {takes}")
     spec = spec or DEFAULT_SPEC
-    two_pi = 2.0 * math.pi
     spec_osc = replace(spec, cells=max(spec.cells, 2 * max(m, n)))
 
-    square = Rect(0.0, two_pi, 0.0, two_pi)
-    profile_monotone = profile_convex = None
-    if kernel == "coscos2d":
-        G = as_bivariate(f)
-        value, err = integrate2d(lambda x, y: G(x, y) * np.cos(m * x) * np.cos(n * y),
-                                 square, spec_osc)
-    else:
-        F = as_univariate(f)
-        span = 4.0 * math.pi if kernel == "sinsin2d" else two_pi
-        profile_monotone, profile_convex = _profile_shape(F, 0.0, span)
-        if kernel == "sinsin2d":
-            value, err = integrate2d(lambda x, y: F(x + y) * np.sin(m * x) * np.sin(n * y),
-                                     square, spec_osc)
-        else:
-            osc = np.cos if kernel == "cos1d" else np.sin
-            value, err = integrate1d(lambda t: F(t) * osc(n * t), 0.0, two_pi, spec_osc)
-    expected = "unconstrained" if kernel == "sin1d" else "nonnegative"
+    F = as_univariate(f) if span else as_bivariate(f)
+    profile_monotone, profile_convex = _profile_shape(F, 0.0, span) if span else (None, None)
+    value, err = integrate(integrand(F, m, n), spec_osc)
 
     sign_ok = True if expected == "unconstrained" else bool(value >= -1e-8)
-    return FourierCheck(
-        kernel=kernel,
-        m=m,
-        n=n,
-        value=float(value),
-        error_estimate=float(err),
-        expected_sign=expected,
-        sign_ok=sign_ok,
-        profile_monotone=profile_monotone,
-        profile_convex=profile_convex,
-    )
+    return FourierCheck(kernel=kernel, m=m, n=n, value=float(value), error_estimate=float(err),
+                        expected_sign=expected, sign_ok=sign_ok,
+                        profile_monotone=profile_monotone, profile_convex=profile_convex)
 
 
 # ---------------------------------------------------------------------------
@@ -396,22 +391,16 @@ def sum_vs_integral(f, rect: Rect, spec: Optional[QuadratureSpec] = None,
     for v in (a, b, c, d):
         if v != int(v):
             raise ValueError("rectangle corners must be integers")
-    fx = f.symbolic_partial("x")
-    fy = f.symbolic_partial("y")
-    fxy = f.mixed_partial()
-
+    fx, fy, fxy = f.symbolic_partial("x"), f.symbolic_partial("y"), f.mixed_partial()
     ms = np.arange(int(a) + 1, int(b) + 1, dtype=float)
     ns = np.arange(int(c) + 1, int(d) + 1, dtype=float)
     lhs = float(_sample(f, "f", ms[:, None], ns[None, :]).sum())
 
-    sx, sy = as_bivariate("x - floor(x)"), as_bivariate("y - floor(y)")
-    spec_b = spec.with_breaks(ms[:-1], ns[:-1])  # every interior integer
+    def integrand(x, y):
+        sx, sy = x - np.floor(x), y - np.floor(y)  # the fractional-part weights
+        return f(x, y) + fx(x, y) * sx + fy(x, y) * sy + fxy(x, y) * sx * sy
 
-    t0 = integrate2d(f, rect, spec_b).value
-    t1 = integrate2d(lambda x, y: fx(x, y) * sx(x, y), rect, spec_b).value
-    t2 = integrate2d(lambda x, y: fy(x, y) * sy(x, y), rect, spec_b).value
-    t3 = integrate2d(lambda x, y: fxy(x, y) * sx(x, y) * sy(x, y), rect, spec_b).value
-    rhs = t0 + t1 + t2 + t3
+    rhs = integrate2d(integrand, rect, spec.with_breaks(ms[:-1], ns[:-1])).value
     return IdentityResidual.from_pair(lhs, rhs, tolerance)
 
 

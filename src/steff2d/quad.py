@@ -79,8 +79,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.cells < 1 or self.points < 1 or self.max_refine < 0:
             raise ValueError("cells and points must be >= 1, max_refine >= 0")
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tolerance must be positive and finite")
 
     def with_breaks(self, breaks_x=(), breaks_y=()) -> "QuadratureSpec":
         return replace(self, breaks_x=tuple(breaks_x), breaks_y=tuple(breaks_y))
@@ -216,6 +216,8 @@ def _adaptive(fn: Callable, boundaries: list, spec: QuadratureSpec) -> QuadResul
     """
     d = len(boundaries)
     sizes = [b.size - 1 for b in boundaries]
+    if math.prod(sizes) > spec.max_cells:
+        raise ConvergenceError(f"{d}d quadrature's first level exceeds the active-cell cap")
     index = np.unravel_index(np.arange(math.prod(sizes)), sizes)
     lo = [b[i] for b, i in zip(boundaries, index)]
     hi = [b[i + 1] for b, i in zip(boundaries, index)]
@@ -337,9 +339,9 @@ class _Primitive:
     A subclass stores the coefficient tensor T of the primitive in
     _build(fn, boundaries) and evaluates it at raveled coordinates in
     _eval.  The cells are halved on every axis until the primitive at the
-    probe coordinates moves by at most spec.tol between two levels; a level
-    whose halving would exceed spec.max_cells cells ends the loop with
-    ConvergenceError.
+    probe coordinates moves by at most spec.tol between two levels; a level of
+    more than spec.max_cells cells is refused with ConvergenceError before it
+    is built.
     """
 
     def _converge(self, fn: Callable, boundaries: list, spec: QuadratureSpec,
@@ -347,13 +349,13 @@ class _Primitive:
         self.points = spec.points
         prev = None
         for _ in range(spec.max_refine + 1):
+            if math.prod(b.size - 1 for b in boundaries) > spec.max_cells:
+                raise ConvergenceError(f"{what} exceeded the active-cell cap")
             self._build(fn, boundaries)
             values = self._eval(*probe)
             if prev is not None and float(np.max(np.abs(values - prev))) <= spec.tol:
                 return
             prev = values
-            if math.prod(b.size - 1 for b in boundaries) * 2 ** len(boundaries) > spec.max_cells:
-                break
             boundaries = [_halve(b) for b in boundaries]
         raise ConvergenceError(f"{what} did not converge to tol={spec.tol}")
 
@@ -556,6 +558,8 @@ def stieltjes2d(h, f, rect: Rect, partition: int = 64, tol: float = 1e-8,
         raise ValueError("partition must be >= 1")
     if doublings < 0:
         raise ValueError("doublings must be >= 0")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     h = as_bivariate(h)
     f = as_bivariate(f)
     n = partition

@@ -306,6 +306,22 @@ class TestExitCodes:
         assert not out
         assert f"argument {argv[-1]}: must be a finite number >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["stieltjes", "--h", "x+y", "--f", "x*y", "--rect", "0,1,0,1", "--quad-tol", "nan"],
+        ["stieltjes", "--h", "x+y", "--f", "x*y", "--rect", "0,1,0,1", "--quad-tol", "-1"],
+        ["stieltjes", "--h", "x+y", "--f", "x*y", "--rect", "0,1,0,1", "--quad-tol", "0"],
+        ["stieltjes", "--h", "x+y", "--f", "x*y", "--rect", "0,1,0,1", "--quad-tol", "inf"],
+        ["integrate", "--f", "exp(-x-y)", "--rect", "0,1,0,1", "--quad-tol", "inf"],
+    ], ids=["stieltjes-nan", "stieltjes-negative", "stieltjes-zero", "stieltjes-inf",
+            "integrate-inf"])
+    def test_quad_tolerance_outside_zero_to_infinity_exits_two(self, argv, capsys):
+        # stieltjes read nan and -1 as "not converged" (exit 1), and 0 and inf
+        # as a pass; integrate took inf for a pass after one sweep
+        code, out, _ = invoke(argv)
+        assert code == EXIT_USAGE
+        assert not out
+        assert "argument --quad-tol: must be a finite number > 0" in capsys.readouterr().err
+
     def test_mollifier_rule_short_of_unit_mass_exits_three(self):
         # at 2 Gauss points the rule's mass is 1 + 3.2e-7 at every size it tries
         code, out, err = invoke(["mollify", "--f", "exp(-x-y)", "--rect", "0,1,0,1", "--n", "4",

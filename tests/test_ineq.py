@@ -232,6 +232,15 @@ class TestFourier:
         assert res.value == pytest.approx(expect, rel=1e-8)
         assert res.sign_ok
 
+    def test_bivariate_cosine_kernel_orientation(self):
+        # exp(x+y) is symmetric in x and y, so it cannot tell m from n; this f
+        # reads 2.3354078 with the indices swapped
+        def exp_cos(a, k):  # int_0^{2pi} e^{at} cos(kt) dt
+            return a * (math.exp(TWO_PI * a) - 1) / (a**2 + k**2)
+
+        res = fourier_check("coscos2d", "exp(x/2 + y/4)", 1, 2)
+        assert res.value == pytest.approx(exp_cos(1 / 2, 1) * exp_cos(1 / 4, 2), rel=1e-12)
+
     @pytest.mark.parametrize("kernel", ["cos1d", "sin1d", "sinsin2d"])
     def test_bivariate_profile_rejected_up_front(self, kernel):
         with pytest.raises(ValueError, match=f"kernel {kernel!r} takes a one-variable profile"):

@@ -523,16 +523,50 @@ class TestMollifier:
 UNIT = Rect(0, 1, 0, 1)
 
 
+def _first_level(build, cells: int, axes: int):
+    """build(fn, spec) from `cells` cells per axis, fn a smooth callable that
+    records each call and fails the test if it is sampled while that first
+    level exceeds spec.max_cells: such a level must be refused unsampled."""
+
+    def run(spec):
+        calls = []
+
+        def fn(*point):
+            calls.append(point)
+            assert cells ** axes <= spec.max_cells, f"sampled {len(calls)} times over the cap"
+            return np.exp(-sum(point))
+
+        return build(fn, QuadratureSpec(cells=cells, max_cells=spec.max_cells))
+    return run
+
+
 @pytest.mark.parametrize("build", [
     lambda spec: integrate1d("sin(300*t)", 0, 1, spec),
     lambda spec: integrate2d("sin(60*x)*sin(60*y)", UNIT, spec),
     lambda spec: Antiderivative1D("sin(300*t)", 0, 1, spec),
     lambda spec: cumulative("sin(60*x)*sin(60*y)", UNIT, spec=spec),
-], ids=["integrate1d", "integrate2d", "Antiderivative1D", "cumulative"])
+    _first_level(lambda fn, spec: integrate1d(fn, 0, 1, spec), 64, 1),
+    _first_level(lambda fn, spec: integrate2d(fn, UNIT, spec), 8, 2),
+    _first_level(lambda fn, spec: Antiderivative1D(fn, 0, 1, spec), 64, 1),
+    _first_level(lambda fn, spec: cumulative(fn, UNIT, spec=spec), 8, 2),
+], ids=["integrate1d", "integrate2d", "Antiderivative1D", "cumulative",
+        "integrate1d-first-level", "integrate2d-first-level", "Antiderivative1D-first-level",
+        "cumulative-first-level"])
 def test_active_cell_cap_raises(build):
     build(QuadratureSpec())  # converges under the default cap
     with pytest.raises(ConvergenceError):
         build(QuadratureSpec(max_cells=16))
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+@pytest.mark.parametrize("build", [
+    lambda tol: QuadratureSpec(tol=tol),
+    lambda tol: stieltjes2d("x+y", "x*y", UNIT, tol=tol),
+], ids=["QuadratureSpec", "stieltjes2d"])
+def test_tolerance_must_be_positive_and_finite(build, tol):
+    # stieltjes2d took any tol: nan and -1 never converged, 0 and inf passed
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        build(tol)
 
 
 @pytest.mark.parametrize("lo, hi", [(1, 0), (0, 0), (0, math.nan), (0, math.inf),
