@@ -4,15 +4,18 @@ rectangular prefix sum) used across the package, and the sampler
 (``_sample``) through which the checks read function values: a
 non-finite sample raises NumericDomainError naming the point.
 
-``_scan`` is the one pass over a lattice of values that certify,
-lemma1_check and validate_copula read through.  It samples the lattice
-one strip of rows at a time and reduces each strip as it comes: value
-extremes, cell-measure extremes with their first cells in row-major
-order, and the four edges.  A lattice of at most 2^18 values (2 MiB) is
-one strip; a larger one goes in strips of 2^16 values, so that no array
-the size of the lattice is ever made and each strip stays in cache.
-Every lattice point is sampled once, and every value, cell measure and
-witness equals what the whole lattice would give bitwise."""
+``_strips`` is the one way a lattice of values is read: one strip of rows
+at a time, each with its cell measures, the cells on the seam between two
+strips included.  A lattice of at most 2^18 values (2 MiB) is one strip; a
+larger one goes in strips of 2^16 values, so that no array the size of the
+lattice is ever made and each strip stays in cache.  Every lattice point
+is sampled once, and every value and cell measure equals what the whole
+lattice would give bitwise.  ``_scan`` reduces the strips to value and
+cell-measure extremes, with their first cells in row-major order, and the
+four edges; certify, lemma1_check, validate_copula and the primitive's
+lattice_extrema read through it.  stieltjes2d folds its sums over the
+strips of each level.
+"""
 
 from __future__ import annotations
 
@@ -136,24 +139,52 @@ def _sample(fn, what: str, *coords) -> np.ndarray:
     return F
 
 
-def _delta(V: np.ndarray) -> np.ndarray:
+def _delta(V: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """Mixed difference of a lattice of values, one entry per cell:
 
         V[i, j] - V[i, j+1] - V[i+1, j] + V[i+1, j+1],
 
     the corner alternating sum f(a,c) - f(a,d) - f(b,c) + f(b,d) of the
-    cell when V[i, j] = f(x_i, y_j).  Allocates one cell-lattice array.
+    cell when V[i, j] = f(x_i, y_j).  Written into out when given, else
+    into one new cell-lattice array.
     """
-    out = V[:-1, :-1] - V[:-1, 1:]
+    out = np.subtract(V[:-1, :-1], V[:-1, 1:], out=out)
     out -= V[1:, :-1]
     out += V[1:, 1:]
     return out
 
 
-# A lattice of at most _ONE_STRIP values is scanned whole; a larger one in
+# A lattice of at most _ONE_STRIP values is read whole; a larger one in
 # strips of _STRIP values (whole rows, at least one).
 _ONE_STRIP = 1 << 18
 _STRIP = 1 << 16
+
+
+def _strips(fn, what: str, xs: np.ndarray, ys: np.ndarray, cells: bool = True):
+    """Sample fn on the lattice xs x ys through _sample, one strip of rows at
+    a time, and yield (r, V, D) per strip: V holds lattice rows r, r+1, ...
+    and D, when cells is true, the cell measures of cell rows max(r - 1, 0),
+    ... (None otherwise).
+
+    The cells on the seam between two strips are the _delta of the earlier
+    strip's last row stacked on the later strip's first row, so every
+    lattice point is sampled once, every cell comes once, in row order, and
+    each equals the whole lattice's _delta bitwise.
+    """
+    n, m = xs.size, ys.size
+    rows = n if n * m <= _ONE_STRIP else max(1, _STRIP // m)
+    last = None
+    for r in range(0, n, rows):
+        V = _sample(fn, what, xs[r:r + rows, None], ys[None, :])
+        D = None
+        if cells:
+            seam = last is not None
+            D = np.empty((len(V) - 1 + seam, m - 1))
+            if seam:
+                _delta(np.stack((last, V[0])), D[:1])
+            _delta(V, D[seam:])
+        last = V[-1].copy()
+        yield r, V, D
 
 
 @dataclass
@@ -197,27 +228,19 @@ class Scan:
 
 
 def _scan(fn, what: str, xs: np.ndarray, ys: np.ndarray, cells: bool = True) -> Scan:
-    """Sample fn on the lattice xs x ys through _sample, one strip of rows
-    at a time, and reduce each strip as it comes.
-
-    The cells on the seam between two strips are the _delta of the earlier
-    strip's last row stacked on the later strip's first row.  With cells
-    false the cell pass is skipped and Scan.cells stays empty.
-    """
-    n, m = xs.size, ys.size
-    rows = n if n * m <= _ONE_STRIP else max(1, _STRIP // m)
+    """Sample fn on the lattice xs x ys through _strips and reduce each strip
+    as it comes.  With cells false the cell pass is skipped and Scan.cells
+    stays empty."""
+    n = xs.size
     out = Scan(Extremes(), Extremes(), np.empty(n), np.empty(n), None, None)
-    for r in range(0, n, rows):
-        V = _sample(fn, what, xs[r:r + rows, None], ys[None, :])
+    for r, V, D in _strips(fn, what, xs, ys, cells):
         out.values.add(V, r)
         if cells:
-            if r:  # out.right still holds the previous strip's last row
-                out.cells.add(_delta(np.stack((out.right, V[0]))), r - 1)
-            out.cells.add(_delta(V), r)
-        out.bottom[r:r + rows], out.top[r:r + rows] = V[:, 0], V[:, -1]
+            out.cells.add(D, max(r - 1, 0))
+        out.bottom[r:r + len(V)], out.top[r:r + len(V)] = V[:, 0], V[:, -1]
         if r == 0:
             out.left = V[0].copy()
-        out.right = V[-1].copy()
+    out.right = V[-1].copy()
     return out
 
 

@@ -6,9 +6,10 @@ tensor-product Gauss-Legendre rules (fixed order per cell, on one or two
 axes) refined by dyadic bisection.  Each sweep splits every active cell
 into its 2^d children, and a cell is frozen once the difference between
 its value and the sum over its children drops below its measure share of
-the global tolerance.  Both primitives (Antiderivative1D and
-CumulativePrimitive) run one build -> probe -> halve loop over uniform
-cells.
+the global tolerance.  Each sweep samples its cells in blocks of at most
+2^16 nodes, and each cell's value is what the whole sweep would give
+bitwise.  Both primitives (Antiderivative1D and CumulativePrimitive) run
+one build -> probe -> halve loop over uniform cells.
 
 A primitive is one coefficient tensor T: (cells, p+1) in 1D, (x cells,
 y cells, p+1, p+1) in 2D.  With q = (1, Q_0(xi), ..., Q_{p-1}(xi)) at local
@@ -20,6 +21,11 @@ a cell's left end and T's row 0 is zero in the first x cells (column 0 in
 the first y cells), so W is exactly zero on its base edges.  One rule,
 _primitive_rows, builds T from the Gauss samples: 1-D rows along x, and
 then rows along y of those, about 2 nx ny p^3 multiply-adds per level.
+
+stieltjes2d reads each level's lattice of the integrator through
+core._strips and samples the integrand at the midpoints of each strip's
+cells only, so a level never holds more than one strip; lattice_extrema
+reads W's lattice through core._scan.
 """
 
 from __future__ import annotations
@@ -33,8 +39,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import (ConvergenceError, IdentityResidual, NumericDomainError, Record, Rect, _delta,
-                   _sample)
+from .core import (ConvergenceError, IdentityResidual, NumericDomainError, Record, Rect, _sample,
+                   _scan, _strips)
 from .expr import BivariateFn, Bin, Num, Var, as_bivariate, as_univariate, substitute
 
 __all__ = [
@@ -181,14 +187,22 @@ def _nodes(lo: np.ndarray, hi: np.ndarray, points: int) -> tuple[np.ndarray, np.
 # ---------------------------------------------------------------------------
 
 def _cell_values(fn: Callable, lo: list, hi: list, points: int) -> np.ndarray:
-    """Gauss-Legendre value of fn on each cell, given by its per-axis bounds."""
+    """Gauss-Legendre value of fn on each cell, given by its per-axis bounds.
+    fn is sampled in blocks of cells of at most 1 << 16 nodes (_blocks)."""
     _, w = _gauss(points)
     if len(lo) == 1:
         X, rad = _nodes(lo[0], hi[0], points)
-        return rad * (_sample(fn, "integrand", X) @ w)
-    (X, xr), (Y, yr) = _nodes(lo[0], hi[0], points), _nodes(lo[1], hi[1], points)
-    F = _sample(fn, "integrand", X[:, :, None], Y[:, None, :])
-    return xr * yr * np.einsum("a,nab,b->n", w, F, w)
+        F = np.empty(X.shape)
+        for k in _blocks(len(X), points):
+            F[k] = _sample(fn, "integrand", X[k])
+        # one product over all cells: gemv rounds the last rows of a block its own way
+        return rad * (F @ w)
+    out = np.empty(lo[0].size)
+    for k in _blocks(out.size, points * points):
+        (X, xr), (Y, yr) = _nodes(lo[0][k], hi[0][k], points), _nodes(lo[1][k], hi[1][k], points)
+        F = _sample(fn, "integrand", X[:, :, None], Y[:, None, :])
+        out[k] = xr * yr * np.einsum("a,nab,b->n", w, F, w)
+    return out
 
 
 def _children(lo: list, hi: list) -> tuple[list, list]:
@@ -278,7 +292,7 @@ def integrate2d(fn, rect: Rect, spec: Optional[QuadratureSpec] = None) -> QuadRe
 
 def _blocks(rows: int, width: int) -> list:
     """Row slices of a (rows, width) array, each holding at most 1 << 16 entries,
-    so the gathered coefficient tensors stay modest in size."""
+    so the gathered coefficient tensors and the sampled nodes stay modest in size."""
     step = max(1, (1 << 16) // max(width, 1))
     return [slice(k, k + step) for k in range(0, rows, step)]
 
@@ -467,16 +481,16 @@ class CumulativePrimitive(_Primitive):
         return out.reshape(shape)
 
     def lattice_extrema(self, grid: int = 32) -> LatticeExtrema:
+        """Least and greatest W on the (grid+1)^2 lattice of the rectangle, each
+        at its first lattice point in row-major order, read through core._scan."""
         xs = self.rect.xs(grid)
         ys = self.rect.ys(grid)
-        vals = self(xs[:, None], ys[None, :])
-        imin = np.unravel_index(np.argmin(vals), vals.shape)
-        imax = np.unravel_index(np.argmax(vals), vals.shape)
+        ext = _scan(self, "primitive", xs, ys, cells=False).values
         return LatticeExtrema(
-            minimum=float(vals[imin]),
-            argmin=(float(xs[imin[0]]), float(ys[imin[1]])),
-            maximum=float(vals[imax]),
-            argmax=(float(xs[imax[0]]), float(ys[imax[1]])),
+            minimum=ext.min,
+            argmin=(float(xs[ext.argmin[0]]), float(ys[ext.argmin[1]])),
+            maximum=ext.max,
+            argmax=(float(xs[ext.argmax[0]]), float(ys[ext.argmax[1]])),
             grid=grid,
         )
 
@@ -545,6 +559,33 @@ class StieltjesResult(Record):
                                    or abs(self.value) <= self.bound + 1e-10)
 
 
+def _stieltjes_level(h, f, rect: Rect, n: int) -> tuple[float, float, float]:
+    """One level of stieltjes2d on the n x n partition of rect, read strip by
+    strip through core._strips: the midpoint sum of h against the cell
+    measures of f, the bound (the rectangle measure of f times max |h| on
+    the tags) and the least cell measure.
+
+    h is sampled at the midpoints of each strip's cells only.  A level of
+    one strip gives the whole lattice's sum bitwise; a larger one sums its
+    strips' sums in row order.
+    """
+    xs, ys = rect.xs(n), rect.ys(n)
+    xm = 0.5 * (xs[:-1] + xs[1:])
+    ym = 0.5 * (ys[:-1] + ys[1:])
+    value, H_max, cells_min = -0.0, 0.0, math.inf  # -0.0 + s is s, even for s = -0.0
+    for r, V, D in _strips(f, "integrator", xs, ys):
+        c = max(r - 1, 0)
+        H = _sample(h, "integrand", xm[c:c + len(D), None], ym[None, :])
+        value += float((H * D).sum())
+        H_max = max(H_max, float(np.max(np.abs(H))))
+        cells_min = min(cells_min, float(D.min()))
+        if r == 0:
+            bottom_left, top_left = V[0, 0], V[0, -1]
+    # the corner alternating sum, as _delta takes it
+    measure = float(bottom_left - top_left - V[-1, 0] + V[-1, -1])
+    return value, measure * H_max, cells_min
+
+
 def stieltjes2d(h, f, rect: Rect, partition: int = 64, tol: float = 1e-8,
                 doublings: int = 4) -> StieltjesResult:
     """Integrate h against the rectangle measure of f.
@@ -567,13 +608,7 @@ def stieltjes2d(h, f, rect: Rect, partition: int = 64, tol: float = 1e-8,
     err = float("inf")
     converged = False
     for _ in range(doublings + 1):
-        xs, ys = rect.xs(n), rect.ys(n)
-        V = _sample(f, "integrator", xs[:, None], ys[None, :])
-        cells = _delta(V)
-        xm = 0.5 * (xs[:-1] + xs[1:])
-        ym = 0.5 * (ys[:-1] + ys[1:])
-        H = _sample(h, "integrand", xm[:, None], ym[None, :])
-        value = float((H * cells).sum())
+        value, bound, cells_min = _stieltjes_level(h, f, rect, n)
         if prev is not None:
             err = abs(value - prev)
             if err <= tol:
@@ -583,9 +618,7 @@ def stieltjes2d(h, f, rect: Rect, partition: int = 64, tol: float = 1e-8,
         n *= 2
     else:
         n //= 2
-    measure = float(_delta(V[np.ix_((0, -1), (0, -1))])[0, 0])
-    bound = measure * float(np.max(np.abs(H)))
-    monotone = bool(cells.min() >= -1e-9)
+    monotone = bool(cells_min >= -1e-9)
     if not monotone:
         warnings.warn(
             "integrator is not 2d-monotone on the partition; the step-function "

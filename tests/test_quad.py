@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import MONOTONE_CATALOG, random_h_expression
-from steff2d.core import ConvergenceError, NumericDomainError, Rect
+from steff2d.core import ConvergenceError, NumericDomainError, Rect, _delta
 from steff2d.expr import BivariateFn, as_bivariate, as_univariate
 from steff2d.monotone import catalog, certify, from_ac
 from steff2d.quad import (
@@ -21,7 +21,7 @@ from steff2d.quad import (
     stieltjes2d,
     stieltjes_vs_riemann,
 )
-from steff2d.quad import _legendre_matrix, _nodes, _q_values
+from steff2d.quad import _cell_values, _gauss, _legendre_matrix, _nodes, _q_values
 
 
 class TestIntegrate2d:
@@ -591,3 +591,97 @@ class TestQuadratureSpec:
         spec = QuadratureSpec(cells=6, tol=1e-10).with_breaks((1.0,), (2.0,))
         assert spec.cells == 6 and spec.tol == 1e-10
         assert spec.breaks_x == (1.0,) and spec.breaks_y == (2.0,)
+
+
+def _recording(fn):
+    """fn, recording the number of points of each call in .sizes."""
+    def rec(*coords):
+        rec.sizes.append(np.broadcast(*coords).size)
+        return fn(*coords)
+    rec.sizes = []
+    return rec
+
+
+def _whole_level(fn, lo, hi, points):
+    """The reference for _cell_values: every node of the level sampled at once."""
+    _, w = _gauss(points)
+    if len(lo) == 1:
+        X, rad = _nodes(lo[0], hi[0], points)
+        return rad * (fn(X) @ w)
+    (X, xr), (Y, yr) = _nodes(lo[0], hi[0], points), _nodes(lo[1], hi[1], points)
+    return xr * yr * np.einsum("a,nab,b->n", w, fn(X[:, :, None], Y[:, None, :]), w)
+
+
+@pytest.mark.parametrize("points", [3, 8, 10])
+@pytest.mark.parametrize("axes", [1, 2])
+def test_quadrature_samples_a_level_in_blocks(rng, axes, points):
+    # 2^16 nodes per block: several blocks and a short last one; each cell's
+    # value equals the whole level's bitwise
+    cells = 3 * (1 << 16) // points ** axes + 5
+    lo = [rng.uniform(-1, 1, cells) for _ in range(axes)]
+    hi = [b + rng.uniform(0.01, 1, cells) for b in lo]
+    fn = (lambda t: np.exp(-t) * np.sin(3 * t)) if axes == 1 else (
+        lambda x, y: np.exp(-x - y) * np.sin(3 * x + y))
+    rec = _recording(fn)
+    got = _cell_values(rec, lo, hi, points)
+    assert got.tobytes() == _whole_level(fn, lo, hi, points).tobytes()
+    assert max(rec.sizes) <= 1 << 16 and sum(rec.sizes) == cells * points ** axes
+
+
+def test_integrate2d_children_sampled_in_blocks():
+    # a first level of 4096 cells, 2^18 nodes, and its 2^20 child nodes
+    rec = _recording(lambda x, y: np.exp(-x - y))
+    value = integrate2d(rec, UNIT, QuadratureSpec(cells=64)).value
+    assert value == pytest.approx((1 - math.exp(-1)) ** 2, abs=1e-14)
+    assert max(rec.sizes) <= 1 << 16
+
+
+def _whole_stieltjes(h, f, rect, n):
+    """h and f on the whole n x n partition: the tags' values, the lattice and its cells."""
+    xs, ys = rect.xs(n), rect.ys(n)
+    V = f(xs[:, None], ys[None, :])
+    H = h(0.5 * (xs[:-1] + xs[1:])[:, None], 0.5 * (ys[:-1] + ys[1:])[None, :])
+    return H, V, _delta(V)
+
+
+class TestStieltjesStrips:
+    """Levels of more than 2^18 lattice values (partition 512 and up) are read
+    in strips of whole rows of at most 2^16 values."""
+
+    @pytest.mark.parametrize("n", [256, 512, 1024])
+    def test_value_is_the_whole_lattice_sum(self, n):
+        h, f = as_bivariate("2 + sin(3*x - y)"), as_bivariate("exp(x*y) + x^2*y")
+        res = stieltjes2d(h, f, UNIT, partition=n, doublings=0)
+        H, V, D = _whole_stieltjes(h, f, UNIT, n)
+        ref = math.fsum((H * D).ravel())
+        assert abs(res.value - ref) <= 1e-15 * abs(ref)
+        if (n + 1) ** 2 <= 1 << 18:  # one strip: the whole lattice's sum bitwise
+            assert res.value == float((H * D).sum())
+        measure = V[0, 0] - V[0, -1] - V[-1, 0] + V[-1, -1]
+        assert res.bound == measure * np.max(np.abs(H))
+        assert res.integrator_monotone and D.min() >= -1e-9
+
+    def test_every_node_once_and_one_strip_per_call(self):
+        h = _recording(lambda x, y: np.sin(x + 2 * y))
+        f = _recording(lambda x, y: np.exp(x * y))
+        res = stieltjes2d(h, f, UNIT, partition=256, tol=1e-300, doublings=3)
+        assert res.partition == 2048 and not res.converged
+        levels = (256, 512, 1024, 2048)
+        assert sum(f.sizes) == sum((n + 1) ** 2 for n in levels)
+        assert sum(h.sizes) == sum(n * n for n in levels)
+        # 257^2 nodes are one strip; every later call holds at most 2^16 points
+        assert f.sizes[0] == 257 ** 2 and max(f.sizes[1:] + h.sizes) <= 1 << 16
+
+    # partition 512: strips of 127 node rows.  Both non-finite points lie in
+    # the fourth strip, the first in row-major order at a later column.
+    @pytest.mark.parametrize("which, h, f, point", [
+        ("integrator", "1", "x*y + 0*log(abs(x - 0.75) + abs(y - 0.5))"
+                            " + 0*log(abs(x - 0.875) + abs(y - 0.25))", (0.75, 0.5)),
+        ("integrand", "x + 0*log(abs(x - 0.7509765625) + abs(y - 0.5009765625))"
+                      " + 0*log(abs(x - 0.8759765625) + abs(y - 0.2509765625))", "x*y",
+         (0.7509765625, 0.5009765625)),
+    ])
+    def test_nonfinite_point_in_a_later_strip(self, which, h, f, point):
+        with pytest.raises(NumericDomainError) as info:
+            stieltjes2d(h, f, UNIT, partition=512, doublings=0)
+        assert (info.value.what, info.value.point) == (which, point)
