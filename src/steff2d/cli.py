@@ -76,16 +76,19 @@ def _number(text: str) -> float:
     return value
 
 
-def _tolerance(text: str, zero: bool = True) -> float:
-    """A --tol or --tolerance value: finite and not negative, see monotone._classify.
-    With zero false, a --quad-tol value: finite and positive, as QuadratureSpec needs."""
+def _finite(text: str, bound: str = "") -> float:
+    """A finite float flag value: --g0, or a trial check's --tol, which only
+    tightens the check's conclusion when negative.  bound ">= 0" is what a --tol
+    or --tolerance also needs, see monotone._classify; "> 0" what a --quad-tol
+    also needs, as QuadratureSpec does."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (0 <= value < math.inf and (zero or value > 0)):
-        bound = ">= 0" if zero else "> 0"
-        raise argparse.ArgumentTypeError(f"must be a finite number {bound}, got {text!r}")
+    bounded = not bound or value > 0 or (value == 0 and bound == ">= 0")
+    if not (math.isfinite(value) and bounded):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number{' ' if bound else ''}{bound}, got {text!r}")
     return value
 
 
@@ -324,11 +327,11 @@ _FLAGS = {
     "--gdensity": {"help": "mixed density of g"},
     "--g1": {"help": "x-edge density of g"},
     "--g2": {"help": "y-edge density of g"},
-    "--g0": {"type": float, "default": 0.0, "help": "g at the lower-left corner"},
+    "--g0": {"type": _finite, "default": 0.0, "help": "g at the lower-left corner"},
     "--kernel": {"required": True, "choices": list(_KERNELS)},
     "--grid": {"type": int, "default": 32},
-    "--tol": {"type": _tolerance, "default": 1e-9},
-    "--tolerance": {"type": _tolerance, "default": 1e-6},
+    "--tol": {"type": partial(_finite, bound=">= 0"), "default": 1e-9},
+    "--tolerance": {"type": partial(_finite, bound=">= 0"), "default": 1e-6},
     "--margin": {"type": float, "default": 0.0},
     "--partition": {"type": int, "default": 64},
     "--doublings": {"type": int, "default": 4},
@@ -338,7 +341,7 @@ _FLAGS = {
     "--q": {"type": int, "default": 5},
     "--trials": {"type": int, "default": 100},
     "--seed": {"type": int, "default": 42},
-    "--quad-tol": {"type": partial(_tolerance, zero=False), "default": DEFAULT_SPEC.tol,
+    "--quad-tol": {"type": partial(_finite, bound="> 0"), "default": DEFAULT_SPEC.tol,
                    "help": "quadrature tolerance"},
     "--cells": {"type": int, "default": DEFAULT_SPEC.cells, "help": "coarsest cells per axis"},
     "--points": {"type": int, "default": DEFAULT_SPEC.points,
@@ -347,8 +350,7 @@ _FLAGS = {
                      "help": "refinement sweep limit"},
 }
 _QUAD = ("--quad-tol", "--cells", "--points", "--max-refine")
-# A negative --tol only tightens the conclusion of a trial check, so it stays a float.
-_TRIALS = ("--p", "--q", "--trials", "--seed", ("--tol", {"type": float, "default": 1e-12}))
+_TRIALS = ("--p", "--q", "--trials", "--seed", ("--tol", {"type": _finite, "default": 1e-12}))
 _COPULA_GRID = ("--grid", {"default": 64})
 
 # Each first word of a command: its help, and for a group of commands the

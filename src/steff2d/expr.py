@@ -11,16 +11,15 @@ callers are expected to surface non-finite lattice values as domain
 errors.
 
 Each operator and builtin is one row of the table ``_OPS``: its arity,
-the numpy function the interpreter (``evaluate``) applies, the source
-template the compiler emits, and its derivative rule.  The parser, the
-interpreter, the compiler and ``differentiate`` all read that row, so
-adding a builtin means adding one row.
+the source template the compiler emits, and its derivative rule.  The
+parser, the compiler and ``differentiate`` all read that row, so adding a
+builtin means adding one row.  The compiled code is the one evaluator:
+``evaluate`` runs it at a single point.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 import warnings
 from dataclasses import dataclass
@@ -129,7 +128,6 @@ Ast = Union[Num, Var, Unary, Bin, Call]
 
 class _Op(NamedTuple):
     arity: int
-    numpy: Callable  # what _eval_node applies to the argument values
     template: str  # the source _emit writes, one {} per argument
     derivative: object  # rule(args, dargs) -> Ast, or _REFUSE or _ZERO
 
@@ -152,25 +150,25 @@ def _power_rule(args, dargs):
 # The builtins are the identifier keys.  Every arity is 1 or 2: the tree
 # walkers unroll the arguments, so that one tree level costs one stack frame.
 _OPS = {
-    "+": _Op(2, operator.add, "({} + {})", lambda a, da: _add(da[0], da[1])),
-    "-": _Op(2, operator.sub, "({} - {})", lambda a, da: _sub(da[0], da[1])),
-    "*": _Op(2, operator.mul, "({} * {})",
+    "+": _Op(2, "({} + {})", lambda a, da: _add(da[0], da[1])),
+    "-": _Op(2, "({} - {})", lambda a, da: _sub(da[0], da[1])),
+    "*": _Op(2, "({} * {})",
              lambda a, da: _add(_mul(da[0], a[1]), _mul(a[0], da[1]))),
-    "/": _Op(2, np.divide, "np.divide({}, {})",
+    "/": _Op(2, "np.divide({}, {})",
              lambda a, da: _div(_sub(_mul(da[0], a[1]), _mul(a[0], da[1])),
                                 _pow(a[1], Num(2.0)))),
-    "^": _Op(2, np.power, "np.power({}, {})", _power_rule),
-    _NEG: _Op(1, operator.neg, "(-{})", lambda a, da: _neg(da[0])),
-    "sin": _Op(1, np.sin, "np.sin({})", lambda a, da: _mul(Call("cos", a), da[0])),
-    "cos": _Op(1, np.cos, "np.cos({})", lambda a, da: _neg(_mul(Call("sin", a), da[0]))),
-    "exp": _Op(1, np.exp, "np.exp({})", lambda a, da: _mul(Call("exp", a), da[0])),
-    "log": _Op(1, np.log, "np.log({})", lambda a, da: _div(da[0], a[0])),
-    "sqrt": _Op(1, np.sqrt, "np.sqrt({})",
+    "^": _Op(2, "np.power({}, {})", _power_rule),
+    _NEG: _Op(1, "(-{})", lambda a, da: _neg(da[0])),
+    "sin": _Op(1, "np.sin({})", lambda a, da: _mul(Call("cos", a), da[0])),
+    "cos": _Op(1, "np.cos({})", lambda a, da: _neg(_mul(Call("sin", a), da[0]))),
+    "exp": _Op(1, "np.exp({})", lambda a, da: _mul(Call("exp", a), da[0])),
+    "log": _Op(1, "np.log({})", lambda a, da: _div(da[0], a[0])),
+    "sqrt": _Op(1, "np.sqrt({})",
                 lambda a, da: _div(da[0], _mul(Num(2.0), Call("sqrt", a)))),
-    "abs": _Op(1, np.abs, "np.abs({})", _REFUSE),
-    "floor": _Op(1, np.floor, "np.floor({})", _ZERO),
-    "min": _Op(2, np.minimum, "np.minimum({}, {})", _REFUSE),
-    "max": _Op(2, np.maximum, "np.maximum({}, {})", _REFUSE),
+    "abs": _Op(1, "np.abs({})", _REFUSE),
+    "floor": _Op(1, "np.floor({})", _ZERO),
+    "min": _Op(2, "np.minimum({}, {})", _REFUSE),
+    "max": _Op(2, "np.maximum({}, {})", _REFUSE),
 }
 
 
@@ -372,33 +370,24 @@ def parse_univariate(src: str) -> Ast:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _eval_node(node: Ast, x, y):
-    if isinstance(node, Num):
-        return np.float64(node.value)
-    if isinstance(node, Var):
-        return x if node.name == "x" else y
-    key, args = _parts(node)
-    fn = _OPS[key].numpy
-    if len(args) == 1:
-        return fn(_eval_node(args[0], x, y))
-    return fn(_eval_node(args[0], x, y), _eval_node(args[1], x, y))
-
-
 def evaluate(node: Ast, x: float, y: float = 0.0) -> float:
     """Evaluate an AST at a point under IEEE semantics (NaN on domain errors).
 
     np.power matches the convention used throughout: negative bases with
     integer exponents take the signed-power fast path, non-integer
-    exponents give NaN.
+    exponents give NaN.  Each call compiles node; a function evaluated at
+    many points is BivariateFn's job.
     """
     with np.errstate(all="ignore"):
-        return float(_eval_node(node, np.float64(x), np.float64(y)))
+        return float(_compile(node)(np.float64(x), np.float64(y)))
 
 
 def _constant(text: str, univariate: bool = False) -> Optional[float]:
     """Value of a constant expression such as '3*pi/4', or None when it names
     a variable of parse (parse_univariate); ParseError when it does not parse."""
     ast = (parse_univariate if univariate else parse)(text)
+    if isinstance(ast, Num):  # a literal, as most CLI numbers are, needs no compile
+        return ast.value
     return None if free_variables(ast) else evaluate(ast, 0.0)
 
 

@@ -322,6 +322,21 @@ class TestExitCodes:
         assert not out
         assert "argument --quad-tol: must be a finite number > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "byparts", "--f", "x*y", "--gdensity", "1", "--g0", "nan", "--rect", "0,1,0,1"],
+        ["verify", "hardy", "--tol", "nan"],
+        ["verify", "steffensen", "--tol", "inf"],
+        ["verify", "hardy", "--tol=-inf"],
+    ], ids=["byparts-g0-nan", "hardy-tol-nan", "steffensen-tol-inf", "hardy-tol-minus-inf"])
+    def test_non_finite_g0_or_trial_tolerance_exits_two(self, argv, capsys):
+        # a NaN --g0 was blamed on a quadrature node (exit 3); a NaN or -inf trial
+        # --tol read as a failing identity (exit 1), and an infinite one passed
+        code, out, _ = invoke(argv)
+        assert code == EXIT_USAGE
+        assert not out
+        flag = "--g0" if "--g0" in argv else "--tol"
+        assert f"argument {flag}: must be a finite number, got" in capsys.readouterr().err
+
     def test_mollifier_rule_short_of_unit_mass_exits_three(self):
         # at 2 Gauss points the rule's mass is 1 + 3.2e-7 at every size it tries
         code, out, err = invoke(["mollify", "--f", "exp(-x-y)", "--rect", "0,1,0,1", "--n", "4",

@@ -1,6 +1,7 @@
 """Parser, evaluator, and symbolic-derivative tests."""
 
 import math
+import operator
 import re
 import sys
 from itertools import product
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import steff2d.expr as expr
 from steff2d.expr import (
     MAX_DEPTH,
     _NEG,
@@ -24,6 +26,7 @@ from steff2d.expr import (
     ParseError,
     Unary,
     Var,
+    _constant,
     differentiate,
     evaluate,
     parse,
@@ -161,6 +164,28 @@ class TestEvaluation:
         assert np.all(out == 5.0)
 
 
+class TestConstant:
+    """expr._constant, which reads the CLI's numbers."""
+
+    def test_literal_is_neither_compiled_nor_evaluated(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a literal was compiled or evaluated")
+
+        monkeypatch.setattr(expr, "_compile", refuse)
+        monkeypatch.setattr(expr, "evaluate", refuse)
+        assert _bits(_constant("1.692")) == _bits(1.692)
+        assert _bits(_constant("-0")) == _bits(-0.0)
+        assert _constant("1e999") == math.inf
+
+    def test_constant_expression_is_the_compiled_value(self):
+        assert _bits(_constant("4*pi/3")) == _bits(4 * math.pi / 3)
+        assert _bits(_constant("sqrt(2)/2")) == _bits(np.divide(np.sqrt(2.0), 2.0))
+
+    def test_expression_naming_a_variable_has_no_value(self):
+        assert _constant("x") is None
+        assert _constant("t", univariate=True) is None
+
+
 class TestDifferentiation:
     def test_power_rule(self):
         d = differentiate(parse("x^2*y"), "x")
@@ -288,11 +313,22 @@ def test_parser_total_on_arbitrary_text(text):
 
 
 # ---------------------------------------------------------------------------
-# The operator table: each row is read by the parser, the interpreter, the
-# compiler and the differentiator
+# The operator table: each row is read by the parser, the compiler and the
+# differentiator
 # ---------------------------------------------------------------------------
 
-SPECIAL_VALUES = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 1e-300, 1e300]
+# -2.5 tells floor from truncation
+SPECIAL_VALUES = [0.0, -0.0, 1.0, -1.0, -2.5, math.inf, -math.inf, math.nan, 1e-300, 1e300]
+
+# The reference interpreter of one row: the numpy function each operator and
+# builtin means, applied to np.float64 values.  The compiled templates must
+# reproduce it bit for bit.
+REFERENCE = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": np.divide,
+    "^": np.power, _NEG: operator.neg, "sin": np.sin, "cos": np.cos, "exp": np.exp,
+    "log": np.log, "sqrt": np.sqrt, "abs": np.abs, "floor": np.floor,
+    "min": np.minimum, "max": np.maximum,
+}
 
 
 def _row_source(key):
@@ -307,13 +343,22 @@ def _bits(value):
     return np.float64(value).view(np.uint64)
 
 
+def test_reference_covers_every_row_of_the_table():
+    assert REFERENCE.keys() == _OPS.keys()
+
+
 @pytest.mark.parametrize("key", list(_OPS))
 def test_interpreter_and_compiled_code_agree_bitwise_at_special_values(key):
+    # the interpreter is REFERENCE; the compiled code runs on 0-d arrays
+    # through BivariateFn and on np.float64 scalars through evaluate
     src = _row_source(key)
     ast, f = parse(src), BivariateFn.from_expression(src)
     for point in product(SPECIAL_VALUES, repeat=_OPS[key].arity):
+        with np.errstate(all="ignore"):
+            expected = _bits(REFERENCE[key](*map(np.float64, point)))
         x, y = (*point, 0.0)[:2]
-        assert _bits(evaluate(ast, x, y)) == _bits(f(x, y)), (src, x, y)
+        assert _bits(f(x, y)) == expected, (src, x, y)
+        assert _bits(evaluate(ast, x, y)) == expected, (src, x, y)
 
 
 @pytest.mark.parametrize("name", BUILTINS)
