@@ -79,8 +79,8 @@ def _number(text: str) -> float:
 def _finite(text: str, bound: str = "") -> float:
     """A finite float flag value: --g0, or a trial check's --tol, which only
     tightens the check's conclusion when negative.  bound ">= 0" is what a --tol
-    or --tolerance also needs, see monotone._classify; "> 0" what a --quad-tol
-    also needs, as QuadratureSpec does."""
+    or --tolerance also needs, see monotone._classify, and a --margin; "> 0" what
+    a --quad-tol also needs, as QuadratureSpec does."""
     try:
         value = float(text)
     except ValueError:
@@ -332,7 +332,7 @@ _FLAGS = {
     "--grid": {"type": int, "default": 32},
     "--tol": {"type": partial(_finite, bound=">= 0"), "default": 1e-9},
     "--tolerance": {"type": partial(_finite, bound=">= 0"), "default": 1e-6},
-    "--margin": {"type": float, "default": 0.0},
+    "--margin": {"type": partial(_finite, bound=">= 0"), "default": 0.0},
     "--partition": {"type": int, "default": 64},
     "--doublings": {"type": int, "default": 4},
     "--m": {"type": int, "default": 1},

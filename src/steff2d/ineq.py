@@ -66,12 +66,11 @@ def _require_symbolic(f, who: str):
     return f
 
 
-def _boundary_terms(f, G, rect: Rect, spec: QuadratureSpec) -> tuple:
-    """Corner and edge terms of 2D integration by parts: (f G at (b, d),
-    -int f_x(., d) G(., d), -int f_y(b, .) G(b, .)).  The edges are sampled as
-    functions of (x, y), so that a non-finite sample is named by its point."""
+def _boundary_terms(f, fx, fy, G, rect: Rect, spec: QuadratureSpec) -> tuple:
+    """Corner and edge terms of 2D integration by parts, given f's partials fx, fy:
+    (f G at (b, d), -int fx(., d) G(., d), -int fy(b, .) G(b, .)).  The edges are
+    sampled as functions of (x, y), so that a non-finite sample is named by its point."""
     a, b, c, d = rect.as_tuple()
-    fx, fy = f.symbolic_partial("x"), f.symbolic_partial("y")
     spec_y = spec.with_breaks(spec.breaks_y)  # the y-axis edge integral
     corner = float(_sample(f, "f", b, d)) * float(G(b, d))
     gx, gy = (lambda x, y: fx(x, y) * G(x, y)), (lambda x, y: fy(x, y) * G(x, y))
@@ -115,19 +114,23 @@ def young_residual(variant: str, f, w, rect: Rect,
              - int W(b,y) f_y(b,y) dy + int int W f_xy,
              with W the primitive from the lower-left corner.
     young2:  the mirrored form with the upper-right primitive, corner value
-             at (a,c), plus signs on the edges: young1 of (f o rho, w o rho).
+             at (a,c), plus signs on the edges: young1 of (f o rho, w o rho),
+             whose partials are f's own at rho, f_x and f_y negated (rho's
+             Jacobian is -I).
     """
     if variant not in ("Y1", "Y2", "young1", "young2"):
         raise ValueError("variant must be 'Y1'/'young1' or 'Y2'/'young2'")
     variant = "Y1" if variant in ("Y1", "young1") else "Y2"
     spec = spec or DEFAULT_SPEC
     f, w = _require_symbolic(f, "young_residual"), as_bivariate(w)
-    reflection = _reflected(rect, spec, f, w) if variant == "Y2" else nullcontext((spec, f, w))
-    with reflection as (spec, f, w):
-        fxy = f.mixed_partial()
+    fns = (f, f.mixed_partial(), *map(f.symbolic_partial, "xy"), w)
+    reflection = _reflected(rect, spec, *fns) if variant == "Y2" else nullcontext((spec, *fns))
+    with reflection as (spec, f, fxy, fx, fy, w):
+        if variant == "Y2":
+            fx, fy = (BivariateFn.from_callable(lambda x, y, g=g: -g(x, y)) for g in (fx, fy))
         lhs = integrate2d(lambda x, y: f(x, y) * w(x, y), rect, spec).value
         W = cumulative(w, rect, spec=spec)
-        corner, edge_x, edge_y = _boundary_terms(f, W, rect, spec)
+        corner, edge_x, edge_y = _boundary_terms(f, fx, fy, W, rect, spec)
         mixed = integrate2d(lambda x, y: W(x, y) * fxy(x, y), rect, spec).value
     rhs = corner + edge_x + edge_y + mixed
     return YoungResult(
@@ -187,7 +190,8 @@ def steffensen_integral(theorem: str, f, w, rect: Rect, grid: int = 32,
              int f(-w) <= f(b,d) (-W(b,d)) + tol.
 
     thm4 is thm3 of (f o rho, w o rho) plus f >= 0, for the point reflection
-    rho(x, y) = (a+b-x, c+d-y), and remark3 is thm3 of (-f, -w).
+    rho(x, y) = (a+b-x, c+d-y), and remark3 is thm3 of (-f, -w).  W >= 0 is read
+    on the grid's lattice, allowing tol plus spec.tol, the tolerance W is built to.
     """
     if theorem not in ("thm3", "thm4", "remark3"):
         raise ValueError("theorem must be 'thm3', 'thm4', or 'remark3'")
@@ -205,7 +209,7 @@ def steffensen_integral(theorem: str, f, w, rect: Rect, grid: int = 32,
         bound = float(_sample(f, "f", r.b, r.d)) * W(r.b, r.d)
 
     edge_ok = report.edge_top_decreasing and report.edge_right_decreasing
-    primitive_ok = extr.minimum >= -tol
+    primitive_ok = extr.minimum >= -(tol + spec.tol)  # W is built only to spec.tol
     hyp = (report.min_measure >= -tol and edge_ok and primitive_ok
            and (theorem != "thm4" or report.nonnegative))
     sign = -1.0 if theorem == "remark3" else 1.0  # remark3 reports (f, w), not (-f, -w)
@@ -357,7 +361,7 @@ def byparts_residual(f, g: AcFunction, rect: Rect,
         lhs = integrate2d(lambda x, y: f(x, y) * g.density(x, y), rect, spec).value
     else:
         lhs = 0.0
-    corner, edge_x, edge_y = _boundary_terms(f, g, rect, spec)
+    corner, edge_x, edge_y = _boundary_terms(f, *map(f.symbolic_partial, "xy"), g, rect, spec)
     stj = stieltjes2d(g, f, rect, partition=64, tol=spec.tol, doublings=3)
     rhs = corner + edge_x + edge_y + stj.value
 

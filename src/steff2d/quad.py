@@ -41,7 +41,7 @@ import numpy as np
 
 from .core import (ConvergenceError, IdentityResidual, NumericDomainError, Record, Rect, _sample,
                    _scan, _strips)
-from .expr import BivariateFn, Bin, Num, Var, as_bivariate, as_univariate, substitute
+from .expr import BivariateFn, as_bivariate, as_univariate
 
 __all__ = [
     "QuadratureSpec",
@@ -137,20 +137,14 @@ def _rho(rect: Rect, x, y):
 @contextmanager
 def _reflected(rect: Rect, spec: QuadratureSpec, *fns):
     """Yields spec with its breaks reflected by _rho, then each BivariateFn f of
-    fns as f o rho (an expression substituted, keeping its symbolic partials; a
-    callable wrapped).  A NumericDomainError in the block at p is raised again
-    at rho(p), the point that the caller's function received."""
-
-    def reflect(f):
-        if f.ast is None:
-            return BivariateFn.from_callable(lambda x, y: f(*_rho(rect, x, y)))
-        return BivariateFn.from_ast(substitute(f.ast, {
-            "x": Bin("+", Num(float(rect.a)), Bin("-", Num(float(rect.b)), Var("x"))),
-            "y": Bin("+", Num(float(rect.c)), Bin("-", Num(float(rect.d)), Var("y")))}))
-
+    fns as the callable f o rho, which reads only f's values.  A caller that
+    needs partials of f o rho reflects f's own: rho's Jacobian is -I.  A
+    NumericDomainError in the block at p is raised again at rho(p), the point
+    that the caller's function received."""
     spec = spec.with_breaks(*_rho(rect, np.array(spec.breaks_x), np.array(spec.breaks_y)))
     try:
-        yield (spec, *map(reflect, fns))
+        yield (spec, *(BivariateFn.from_callable(lambda x, y, f=f: f(*_rho(rect, x, y)))
+                       for f in fns))
     except NumericDomainError as exc:
         raise NumericDomainError(exc.what, _rho(rect, *exc.point)) from None
 

@@ -130,9 +130,10 @@ FAILING_COMMANDS = [
     ["verify", "steffensen", "--a", "[[1]]", "--u", "[[0]]", "--tol", "-0.5"],
     *(["verify", variant, "--f", "exp(x*y)", "--w", "cos(5*x*y)", "--rect", "0,1,0,1",
        "--cells", "1", "--points", "2", "--quad-tol", "10"] for variant in ("young1", "young2")),
-    # the primitive of w is 0 on the 3 x 3 lattice and negative between its points
-    ["verify", "thm3", "--f", "x*y-x-y", "--w", "-4*pi^2*sin(4*pi*x)*sin(4*pi*y)",
-     "--rect", "0,1,0,1", "--grid", "2"],
+    # the primitive of w is 0 on the 3 x 3 lattice and negative between its points,
+    # so its hypothesis holds on the lattice under any allowance, --tol 0 included
+    *(["verify", "thm3", "--f", "x*y-x-y", "--w", "-4*pi^2*sin(4*pi*x)*sin(4*pi*y)",
+       "--rect", "0,1,0,1", "--grid", "2", *tol] for tol in ([], ["--tol", "0"])),
     ["verify", "thm4", "--f", "x*y", "--w", "-4*pi^2*sin(4*pi*x)*sin(4*pi*y)",
      "--rect", "0,1,0,1", "--grid", "2"],
     ["verify", "remark3", "--f", "x+y-x*y", "--w", "4*pi^2*sin(4*pi*x)*sin(4*pi*y)",
@@ -219,6 +220,21 @@ class TestSpecificResults:
         assert code == EXIT_PASS
         assert doc["diagnostics"]["edge_vanishing"] is False
         assert abs(doc["result"]["abs_residual"] - 0.5) <= 1e-9
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "thm3", "--f", "exp(-1.924*x-1.074*y)", "--w", "sin(6*x)*sin(2*y)",
+         "--rect", "0,5.879,0,3.82", "--grid", "64"],
+        ["verify", "thm3", "--f", "exp(-1.303*x-0.6952*y)", "--w", "sin(5*x)*sin(6*y)",
+         "--rect", "0,1.692,0,5.879", "--grid", "64"],
+    ], ids=["primitive-min-2.6e-9", "primitive-min-1.0e-9"])
+    def test_primitive_hypothesis_allows_the_primitive_tolerance(self, argv):
+        # W >= 0 in closed form, and W is built to the quadrature tolerance 1e-8,
+        # so its lattice minimum -2.6e-9 (-1.0e-9) is no refutation; against --tol
+        # 1e-9 alone it read primitive_ok false
+        code, doc = invoke_json(argv)
+        assert code == EXIT_PASS
+        assert -1e-8 < doc["result"]["primitive_min"] < -1e-9
+        assert doc["result"]["primitive_ok"] is doc["result"]["hypotheses_hold"] is True
 
 
 class TestExitCodes:
@@ -336,6 +352,22 @@ class TestExitCodes:
         assert not out
         flag = "--g0" if "--g0" in argv else "--tol"
         assert f"argument {flag}: must be a finite number, got" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--f", "x*y", "--rect", "0,1,0,1", "--margin=nan"],
+        ["verify", "thm3", "--f", "x*y", "--w", "1", "--rect", "0,1,0,1", "--margin=nan"],
+        ["verify", "thm3", "--f", "x*y", "--w", "1", "--rect", "0,1,0,1", "--margin=-1"],
+    ], ids=["certify-nan", "thm3-nan", "thm3-negative"])
+    def test_bad_margin_exits_two_naming_the_flag(self, argv, capsys):
+        # a NaN --margin was reported as a rectangle with NaN corners
+        code, out, _ = invoke(argv)
+        assert code == EXIT_USAGE
+        assert not out
+        assert "argument --margin: must be a finite number >= 0, got" in capsys.readouterr().err
+
+    def test_no_flag_is_a_bare_float(self):
+        # float() takes nan and inf, which each flag must refuse by its own name
+        assert [flag for flag, kw in cli._FLAGS.items() if kw.get("type") is float] == []
 
     def test_mollifier_rule_short_of_unit_mass_exits_three(self):
         # at 2 Gauss points the rule's mass is 1 + 3.2e-7 at every size it tries

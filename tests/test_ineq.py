@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import SMOOTH_FAMILY, random_integer_rect, random_positive_smooth
-from steff2d import ineq
+from steff2d import expr, ineq
 from steff2d.core import Rect
 from steff2d.expr import BivariateFn, UnivariateFn
 from steff2d.ineq import (
@@ -190,6 +190,26 @@ class TestSteffensenIntegral:
         with pytest.raises(ValueError):
             steffensen_integral("thm5", "x", "1", Rect(0, 1, 0, 1))
 
+
+@pytest.mark.parametrize("check, plain, reflected, f, w, count", [
+    (young_residual, "Y1", "Y2", "x", "1", 5),  # f, w, f_x, f_y, f_xy
+    (steffensen_integral, "thm3", "thm4", "x*y", "1", 2),  # f, w
+])
+def test_reflections_compile_nothing_of_their_own(check, plain, reflected, f, w, count,
+                                                  monkeypatch):
+    # f o rho reads f's values, and young2 f's own partials at rho, so the
+    # reflected check compiles what the plain one does
+    compile_, compiled = expr._compile, []
+
+    def counted(node):
+        compiled.append(node)
+        return compile_(node)
+
+    monkeypatch.setattr(expr, "_compile", counted)
+    for variant in (plain, reflected):
+        compiled.clear()
+        check(variant, f, w, Rect(0, 1, 0, 1))
+        assert len(compiled) == count, variant
 
 class TestFourier:
     def test_square_profile_value(self):
