@@ -134,9 +134,7 @@ def archimedean(gen) -> BivariateFn:
         return out
 
     label = phi.name or (phi.ast and to_string(phi.ast)) or "phi"
-    out = BivariateFn.from_callable(fn, name=f"archimedean({label})")
-    out.generator = gen
-    return out
+    return BivariateFn.from_callable(fn, name=f"archimedean({label})")
 
 
 @dataclass(frozen=True)

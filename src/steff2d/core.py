@@ -4,17 +4,20 @@ rectangular prefix sum) used across the package, and the sampler
 (``_sample``) through which the checks read function values: a
 non-finite sample raises NumericDomainError naming the point.
 
-``_strips`` is the one way a lattice of values is read: one strip of rows
-at a time, each with its cell measures, the cells on the seam between two
-strips included.  A lattice of at most 2^18 values (2 MiB) is one strip; a
-larger one goes in strips of 2^16 values, so that no array the size of the
-lattice is ever made and each strip stays in cache.  Every lattice point
-is sampled once, and every value and cell measure equals what the whole
-lattice would give bitwise.  ``_scan`` reduces the strips to value and
-cell-measure extremes, with their first cells in row-major order, and the
-four edges; certify, lemma1_check, validate_copula and the primitive's
-lattice_extrema read through it.  stieltjes2d folds its sums over the
-strips of each level.
+``_blocks`` is the one block rule: every bounded sampling loop, the
+quadrature sweeps, the primitive's reads and the mollifier's convolution
+included, takes row slices of at most 2^16 values per call.  ``_strips``
+is the one way a lattice of values is read: one strip of rows at a time,
+each with its cell measures, the cells on the seam between two strips
+included.  A lattice of at most 2^18 values (2 MiB) is one strip; a
+larger one goes in the slices of ``_blocks``, so that no array the size
+of the lattice is ever made and each strip stays in cache.  Every
+lattice point is sampled once, and every value and cell measure equals
+what the whole lattice would give bitwise.  ``_scan`` reduces the strips
+to value and cell-measure extremes, with their first cells in row-major
+order, and the four edges; certify, lemma1_check, validate_copula and
+the primitive's lattice_extrema read through it.  stieltjes2d folds its
+sums over the strips of each level.
 """
 
 from __future__ import annotations
@@ -154,10 +157,15 @@ def _delta(V: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     return out
 
 
-# A lattice of at most _ONE_STRIP values is read whole; a larger one in
-# strips of _STRIP values (whole rows, at least one).
+# A lattice of at most _ONE_STRIP values is read whole; a larger one in _blocks.
 _ONE_STRIP = 1 << 18
-_STRIP = 1 << 16
+
+
+def _blocks(rows: int, width: int) -> list:
+    """Row slices of a (rows, width) array, each holding at most 2^16 entries
+    (at least one row): the package's one block rule for a sampling call."""
+    step = max(1, (1 << 16) // max(width, 1))
+    return [slice(k, k + step) for k in range(0, rows, step)]
 
 
 def _strips(fn, what: str, xs: np.ndarray, ys: np.ndarray, cells: bool = True):
@@ -172,10 +180,9 @@ def _strips(fn, what: str, xs: np.ndarray, ys: np.ndarray, cells: bool = True):
     each equals the whole lattice's _delta bitwise.
     """
     n, m = xs.size, ys.size
-    rows = n if n * m <= _ONE_STRIP else max(1, _STRIP // m)
     last = None
-    for r in range(0, n, rows):
-        V = _sample(fn, what, xs[r:r + rows, None], ys[None, :])
+    for k in [slice(0, n)] if n * m <= _ONE_STRIP else _blocks(n, m):
+        V = _sample(fn, what, xs[k, None], ys[None, :])
         D = None
         if cells:
             seam = last is not None
@@ -184,7 +191,7 @@ def _strips(fn, what: str, xs: np.ndarray, ys: np.ndarray, cells: bool = True):
                 _delta(np.stack((last, V[0])), D[:1])
             _delta(V, D[seam:])
         last = V[-1].copy()
-        yield r, V, D
+        yield k.start, V, D
 
 
 @dataclass

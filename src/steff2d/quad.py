@@ -6,10 +6,12 @@ tensor-product Gauss-Legendre rules (fixed order per cell, on one or two
 axes) refined by dyadic bisection.  Each sweep splits every active cell
 into its 2^d children, and a cell is frozen once the difference between
 its value and the sum over its children drops below its measure share of
-the global tolerance.  Each sweep samples its cells in blocks of at most
-2^16 nodes, and each cell's value is what the whole sweep would give
-bitwise.  Both primitives (Antiderivative1D and CumulativePrimitive) run
-one build -> probe -> halve loop over uniform cells.
+the global tolerance.  Each sweep samples its cells through core._blocks,
+the package's one block rule (at most 2^16 nodes per call), and each
+cell's value is what the whole sweep would give bitwise; the primitives'
+reads and mollify's convolution slice through the same rule.  Both
+primitives (Antiderivative1D and CumulativePrimitive) run one build ->
+probe -> halve loop over uniform cells.
 
 A primitive is one coefficient tensor T: (cells, p+1) in 1D, (x cells,
 y cells, p+1, p+1) in 2D.  With q = (1, Q_0(xi), ..., Q_{p-1}(xi)) at local
@@ -39,8 +41,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import (ConvergenceError, IdentityResidual, NumericDomainError, Record, Rect, _sample,
-                   _scan, _strips)
+from .core import (ConvergenceError, IdentityResidual, NumericDomainError, Record, Rect, _blocks,
+                   _sample, _scan, _strips)
 from .expr import BivariateFn, as_bivariate, as_univariate
 
 __all__ = [
@@ -182,7 +184,7 @@ def _nodes(lo: np.ndarray, hi: np.ndarray, points: int) -> tuple[np.ndarray, np.
 
 def _cell_values(fn: Callable, lo: list, hi: list, points: int) -> np.ndarray:
     """Gauss-Legendre value of fn on each cell, given by its per-axis bounds.
-    fn is sampled in blocks of cells of at most 1 << 16 nodes (_blocks)."""
+    fn is sampled in core._blocks of cells, at most 2^16 nodes per call."""
     _, w = _gauss(points)
     if len(lo) == 1:
         X, rad = _nodes(lo[0], hi[0], points)
@@ -283,13 +285,6 @@ def integrate2d(fn, rect: Rect, spec: Optional[QuadratureSpec] = None) -> QuadRe
 # ---------------------------------------------------------------------------
 # Cumulative primitives W and the upper counterpart, and 1D antiderivatives
 # ---------------------------------------------------------------------------
-
-def _blocks(rows: int, width: int) -> list:
-    """Row slices of a (rows, width) array, each holding at most 1 << 16 entries,
-    so the gathered coefficient tensors and the sampled nodes stay modest in size."""
-    step = max(1, (1 << 16) // max(width, 1))
-    return [slice(k, k + step) for k in range(0, rows, step)]
-
 
 def _locate(b: np.ndarray, h: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cell index of each x among the boundaries b, and x mapped to [-1, 1]."""
@@ -417,7 +412,7 @@ class CumulativePrimitive(_Primitive):
     def _eval(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         out = np.empty(x.size)
         for k in _blocks(x.size, 1):
-            # one _axes call per axis: a shared call over a block of 1 << 16 points
+            # one _axes call per axis: a shared call over a block of 2^16 points
             # runs its arrays past the cache (15-30% slower at 1e6 points)
             ix, qx = _axes(self.points, (self.bx, self.hx, x[k]))
             iy, qy = _axes(self.points, (self.by, self.hy, y[k]))
@@ -437,7 +432,8 @@ class CumulativePrimitive(_Primitive):
         return _rows(qx[0] @ self.T[ix[0]], self.by, self.hy, y, p)
 
     def _lattice(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """W on the tensor lattice x (n,) by y (m,), shape (n, m), in row blocks.
+        """W on the tensor lattice x (n,) by y (m,), shape (n, m), in the row
+        blocks of core._blocks, each gathering at most 2^16 coefficient tensors.
 
         Each run of consecutive columns in one y cell takes one matmul
         against the x strip.  An ascending or a descending y (the upper
@@ -734,8 +730,6 @@ def mollify(f, rect: Rect, n: int, spec: Optional[QuadratureSpec] = None) -> Biv
     moll = make_mollifier(n)
     S, T, wconv = _conv_nodes(moll, spec.points)
     a, b, c, d = rect.as_tuple()
-    m = S.size
-    chunk = max(1, 4_000_000 // m)
 
     def conv(x, y):
         xs = np.asarray(x, dtype=float)
@@ -744,10 +738,10 @@ def mollify(f, rect: Rect, n: int, spec: Optional[QuadratureSpec] = None) -> Biv
         xf = np.broadcast_to(xs, shape).ravel()
         yf = np.broadcast_to(ys, shape).ravel()
         out = np.empty(xf.size)
-        for k in range(0, xf.size, chunk):
-            xe = np.clip(xf[k:k + chunk, None] - S[None, :], a, b)
-            ye = np.clip(yf[k:k + chunk, None] - T[None, :], c, d)
-            out[k:k + chunk] = np.asarray(f(xe, ye), dtype=float) @ wconv
+        for k in _blocks(xf.size, S.size):
+            xe = np.clip(xf[k, None] - S[None, :], a, b)
+            ye = np.clip(yf[k, None] - T[None, :], c, d)
+            out[k] = np.asarray(f(xe, ye), dtype=float) @ wconv
         return out.reshape(shape)
 
     label = f.expression or "f"

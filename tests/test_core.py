@@ -15,10 +15,13 @@ from steff2d.core import (
     IdentityResidual,
     NumericDomainError,
     Rect,
+    _ONE_STRIP,
+    _blocks,
     _delta,
     _prefix_sums,
     _sample,
     _scan,
+    _strips,
 )
 from steff2d.expr import as_bivariate, as_univariate
 from steff2d.ineq import lemma1_check, steffensen_integral, sum_vs_integral, young_residual
@@ -193,6 +196,14 @@ class TestScan:
         fn = _table_fn(rng.standard_normal((n, m)))
         _assert_scan_is_whole_lattice(fn, *_integer_lattice(n, m))
         assert fn.calls == strips + 1  # the scan's strips, then the reference
+
+    @pytest.mark.parametrize("n, m", [(513, 512), (300, 1000), (5, 70001), (2, 2**17 + 1)])
+    def test_strips_past_one_strip_are_the_blocks(self, n, m):
+        # one block rule: past _ONE_STRIP the strips are exactly _blocks(n, m)
+        assert n * m > _ONE_STRIP
+        fn = _table_fn(np.zeros((n, m)))
+        got = [(r, len(V)) for r, V, _ in _strips(fn, "f", *_integer_lattice(n, m), cells=False)]
+        assert got == [(k.start, len(range(n)[k])) for k in _blocks(n, m)]
 
     def test_expression_on_a_grid_2048_lattice(self):
         f = as_bivariate("sin(3*x - y)*exp(-x*y) + x/(1 + y^2)")

@@ -21,7 +21,7 @@ from steff2d.quad import (
     stieltjes2d,
     stieltjes_vs_riemann,
 )
-from steff2d.quad import _cell_values, _gauss, _legendre_matrix, _nodes, _q_values
+from steff2d.quad import _cell_values, _conv_nodes, _gauss, _legendre_matrix, _nodes, _q_values
 
 
 class TestIntegrate2d:
@@ -626,6 +626,25 @@ def test_quadrature_samples_a_level_in_blocks(rng, axes, points):
     got = _cell_values(rec, lo, hi, points)
     assert got.tobytes() == _whole_level(fn, lo, hi, points).tobytes()
     assert max(rec.sizes) <= 1 << 16 and sum(rec.sizes) == cells * points ** axes
+
+
+def test_mollifier_samples_f_in_blocks():
+    # 64 points against 12,788 convolution nodes: every call of f holds at most
+    # 2^16 values, and the calls together hold each (point, node) pair once, in
+    # order; the rectangle holds every shifted point, so nothing is clamped
+    calls = []
+
+    def f(x, y):
+        calls.append((x.copy(), y.copy()))
+        return np.exp(-x - y)
+
+    pts = np.linspace(0, 1, 8)
+    mollify(f, Rect(-1, 2, -1, 2), n=4)(pts[:, None], pts[None, :])
+    S, T, _ = _conv_nodes(make_mollifier(4), QuadratureSpec().points)
+    X, Y = (a.ravel()[:, None] for a in np.broadcast_arrays(pts[:, None], pts[None, :]))
+    assert max(x.size for x, _ in calls) <= 1 << 16
+    assert np.concatenate([x for x, _ in calls]).tobytes() == (X - S[None, :]).tobytes()
+    assert np.concatenate([y for _, y in calls]).tobytes() == (Y - T[None, :]).tobytes()
 
 
 def test_integrate2d_children_sampled_in_blocks():
